@@ -38,6 +38,7 @@ import sys
 import time
 
 from ..crypto import arc4kernel, backend
+from ..crypto.sha1 import STATS as SHA1_STATS
 from ..obs.export import SnapshotCollector
 from ..rpc import xdr
 from . import compile_bench, mab, micro, sprite
@@ -48,14 +49,16 @@ MICRO_CONFIGS = [NFS_UDP, NFS_TCP, SFS, SFS_NOENC]
 APP_CONFIGS = [LOCAL, NFS_UDP, NFS_TCP, SFS]
 
 _LAYERS = ["crypto", "rpc", "nfs3", "network", "disk", "other"]
+_FASTLANE_GROUPS = ("arc4", "sha1", "marshal")
 
 
 def perf_stats() -> dict:
     """Process-wide fast-lane counters (see docs/PERFORMANCE.md).
 
-    The ARC4 kernel and marshal counters are module-level because the
-    cipher streams and codec singletons are shared across every World in
-    the process; figure runners snapshot-and-diff around each figure.
+    The ARC4 kernel, reference SHA-1 and marshal counters are
+    module-level because the cipher streams, hash objects and codec
+    singletons are shared across every World in the process; figure
+    runners snapshot-and-diff around each figure.
     """
     return {
         "fast_kernel": arc4kernel.FAST_KERNEL,
@@ -65,16 +68,16 @@ def perf_stats() -> dict:
             "use_fast_marshal": backend.use_fast_marshal,
         },
         "arc4": arc4kernel.STATS.snapshot(),
+        "sha1": SHA1_STATS.snapshot(),
         "marshal": xdr.STATS.snapshot(),
     }
 
 
 def _perf_delta(before: dict, after: dict) -> dict:
     delta = dict(after)
-    delta["arc4"] = {k: after["arc4"][k] - before["arc4"][k]
-                     for k in after["arc4"]}
-    delta["marshal"] = {k: after["marshal"][k] - before["marshal"][k]
-                        for k in after["marshal"]}
+    for group in _FASTLANE_GROUPS:
+        delta[group] = {k: after[group][k] - before[group][k]
+                        for k in after[group]}
     return delta
 
 
@@ -87,8 +90,7 @@ def _measured(name: str, figure: str, collector, workload):
     """
     setup = make_setup(name)
     setup.metrics.layers.reset()
-    arc4_before = arc4kernel.STATS.snapshot()
-    marshal_before = xdr.STATS.snapshot()
+    stats_before = perf_stats()
     sim_start = setup.clock.now
     cpu_start = time.perf_counter()
     result = workload(setup)
@@ -96,14 +98,13 @@ def _measured(name: str, figure: str, collector, workload):
                 + (setup.clock.now - sim_start))
     # Fold this run's fast-lane counter deltas into the World's own
     # registry so the exported snapshot carries them alongside the
-    # layer attribution (the kernel/marshal counters are process-wide;
-    # runs are sequential, so the delta is this workload's).
-    for key, value in arc4kernel.STATS.snapshot().items():
-        setup.metrics.counter(f"fastlane.arc4.{key}").inc(
-            value - arc4_before[key])
-    for key, value in xdr.STATS.snapshot().items():
-        setup.metrics.counter(f"fastlane.marshal.{key}").inc(
-            value - marshal_before[key])
+    # layer attribution (the kernel/hash/marshal counters are
+    # process-wide; runs are sequential, so the delta is this
+    # workload's).
+    delta = _perf_delta(stats_before, perf_stats())
+    for group in _FASTLANE_GROUPS:
+        for key, value in delta[group].items():
+            setup.metrics.counter(f"fastlane.{group}.{key}").inc(value)
     breakdown = setup.metrics.layers.breakdown()
     attribution = {n: cpu + sim for n, (cpu, sim) in breakdown.items()}
     if collector is not None:

@@ -24,9 +24,9 @@ import random
 from dataclasses import dataclass
 from typing import Callable
 
+from ..crypto.backend import new_sha1
 from ..crypto.mac import hmac_sha1
 from ..crypto.rabin import PrivateKey, PublicKey, RabinError, generate_key
-from ..crypto.sha1 import SHA1
 
 KEY_HALF_LEN = 16
 EPHEMERAL_KEY_BITS = 640  # short-lived, anonymity-only key
@@ -64,7 +64,7 @@ def decrypt_key_halves(key: PrivateKey, ciphertext: bytes) -> tuple[bytes, bytes
 
 def _derive(tag: bytes, ks: PublicKey, kc: PublicKey,
             client_half: bytes, server_half: bytes) -> bytes:
-    h = SHA1()
+    h = new_sha1()
     h.update(tag)
     h.update(ks.to_bytes())
     h.update(client_half)
@@ -82,7 +82,7 @@ class SessionKeys:
 
     @property
     def session_id(self) -> bytes:
-        h = SHA1()
+        h = new_sha1()
         h.update(b"SessionInfo")
         h.update(self.ksc)
         h.update(self.kcs)

@@ -24,8 +24,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
+from ..crypto.backend import new_sha1
 from ..crypto.rabin import PublicKey
-from ..crypto.sha1 import SHA1
 from ..crypto.util import sfs_base32_decode, sfs_base32_encode
 
 SFS_ROOT = "/sfs"
@@ -43,7 +43,7 @@ def compute_hostid(location: str, public_key: PublicKey) -> bytes:
     """The 20-byte HostID binding *location* to *public_key*."""
     if not _LOCATION_RE.match(location):
         raise PathnameError(f"invalid Location {location!r}")
-    h = SHA1()
+    h = new_sha1()
     key_bytes = public_key.to_bytes()
     for _ in range(2):  # the deliberate duplication
         h.update(b"HostInfo")

@@ -244,39 +244,96 @@ class RwExport:
     handles: EncryptedHandles
     nfs_client: Nfs3Client          # loopback to the local NFS server
     nfs_server: Nfs3Server
-    connections: list["ServerConnection"] = field(default_factory=list)
+    #: Connections in fan-out order (registration order), each mapped
+    #: to its registration sequence number.
+    connections: "dict[ServerConnection, int]" = field(default_factory=dict)
+    #: Plain handle -> the registered connections holding a lease on it;
+    #: a write visits these, never the whole connection list.
+    lease_holders: "dict[bytes, set[ServerConnection]]" = field(
+        default_factory=dict
+    )
     active_connection: "ServerConnection | None" = None
     #: Loopback transport behind nfs_client/nfs_server; a crash closes
     #: it along with every client-facing link.
     loop_links: "tuple[LinkSide, LinkSide] | None" = None
     master: "SfsServerMaster | None" = None
+    _registrations: int = field(default=0, init=False, repr=False)
+
+    def register(self, connection: "ServerConnection") -> None:
+        """Put *connection* at the end of the fan-out order.
+
+        A connection registers when its session programs do (ENCRYPT),
+        and again after a resync's REKEY, which moves it to the end.
+        """
+        self.connections.pop(connection, None)
+        self._registrations += 1
+        self.connections[connection] = self._registrations
+
+    def add_lease(self, connection: "ServerConnection",
+                  plain_handle: bytes) -> None:
+        """Index a lease; ignored for connections no longer registered
+        (pruned, or discarded by a crash) so no stray holder remains."""
+        if connection in self.connections:
+            self.lease_holders.setdefault(plain_handle, set()).add(connection)
+
+    def drop_lease(self, connection: "ServerConnection",
+                   plain_handle: bytes) -> None:
+        holders = self.lease_holders.get(plain_handle)
+        if holders is not None:
+            holders.discard(connection)
+            if not holders:
+                del self.lease_holders[plain_handle]
+
+    def remove(self, connection: "ServerConnection") -> bool:
+        """Drop *connection* from the fan-out order and the lease index.
+
+        Returns False when it was not registered.
+        """
+        if self.connections.pop(connection, None) is None:
+            return False
+        for plain_handle in connection.leased_handles:
+            self.drop_lease(connection, plain_handle)
+        return True
+
+    def prune(self, connection: "ServerConnection") -> None:
+        """Remove a lease holder found dead, and count it."""
+        if self.remove(connection) and self.master is not None:
+            self.master.note_pruned()
+
+    def reset(self) -> None:
+        """Forget every connection and lease (the machine crashed)."""
+        self.connections.clear()
+        self.lease_holders.clear()
+        self.active_connection = None
 
     def on_mutation(self, plain_handle: bytes) -> None:
-        """Fan lease invalidations out to every other connection.
+        """Fan lease invalidations out to the handle's other holders.
 
-        Iterates over a snapshot: a send can kill a connection (closed
-        link) and prune it from the live list mid-loop, and one crashed
-        peer must not abort invalidations to the rest.
+        Visits the holders only, in registration order.  Iterates over a
+        snapshot: a send can kill a connection (closed link) and prune
+        it mid-loop, and one crashed peer must not abort invalidations
+        to the rest.
         """
+        holders = self.lease_holders.get(plain_handle)
+        if not holders:
+            return
         encrypted = None
-        for connection in list(self.connections):
-            if connection is self.active_connection:
+        for connection in sorted(holders, key=self.connections.__getitem__):
+            if (connection is self.active_connection
+                    or connection not in self.connections):
                 continue
             if not connection.alive:
-                # A client that redialed (or died) leaves a half-open
-                # connection behind; drop it instead of broadcasting
-                # invalidations to a dead link forever.
-                self.connections.remove(connection)
-                if self.master is not None:
-                    self.master.note_pruned()
+                # A client that died without closing its link cleanly
+                # leaves a half-open holder behind; drop it instead of
+                # sending invalidations to a dead link forever.
+                self.prune(connection)
                 continue
-            if plain_handle in connection.leased_handles:
-                if self.master is not None:
-                    self.master.crashpoint("lease-fanout")
-                if encrypted is None:
-                    fsid, ino, generation = PlainHandles().decode(plain_handle)
-                    encrypted = self.handles.encode(fsid, ino, generation)
-                connection.send_invalidate(encrypted, plain_handle)
+            if self.master is not None:
+                self.master.crashpoint("lease-fanout")
+            if encrypted is None:
+                fsid, ino, generation = PlainHandles().decode(plain_handle)
+                encrypted = self.handles.encode(fsid, ino, generation)
+            connection.send_invalidate(encrypted, plain_handle)
 
 
 @dataclass
@@ -306,8 +363,9 @@ class SfsServerMaster:
         self._revocations: dict[bytes, Record] = {}
         self._forwards: dict[bytes, Record] = {}
         self.connections_accepted = 0
-        #: Live inbound connections; volatile — a crash empties it.
-        self.connections: list["ServerConnection"] = []
+        #: Live inbound connections in accept order; volatile — a crash
+        #: empties it, and each one leaves when its link closes.
+        self.connections: "dict[ServerConnection, None]" = {}
         #: True between :meth:`crash` and :meth:`restart`; dials fail.
         self.down = False
         #: Optional scheduled-fault source (see :mod:`repro.sim.crash`).
@@ -443,12 +501,13 @@ class SfsServerMaster:
             # Queued-but-unserved requests die with the machine; their
             # clients learn via the closing links, not busy replies.
             self.request_queue.clear()
-        for connection in self.connections:
+        # Snapshot: each close runs the connection's teardown, which
+        # removes it from this dict.
+        for connection in list(self.connections):
             connection.pipe.raw.close()
         self.connections.clear()
         for export in self._rw.values():
-            export.connections.clear()
-            export.active_connection = None
+            export.reset()
             if export.loop_links is not None:
                 for side in export.loop_links:
                     side.close()
@@ -547,11 +606,8 @@ class SfsServerMaster:
                 f"connection refused: {self.location} is down"
             )
         self.connections_accepted += 1
-        # Reap connections whose transports have since closed, so the
-        # live list does not grow monotonically across redials.
-        self.connections = [c for c in self.connections if c.alive]
         connection = ServerConnection(self, link)
-        self.connections.append(connection)
+        self.connections[connection] = None
         if self.request_queue is not None:
             self.request_queue.bind(connection.peer, connection,
                                     inline_calls=CHANNEL_CALLS)
@@ -596,7 +652,17 @@ class ServerConnection:
         self._m_logins_ok = self.metrics.counter("auth.logins_ok")
         self._m_logins_denied = self.metrics.counter("auth.logins_denied")
         self.pipe.control_handler = self._on_control
+        self.pipe.on_close(self._on_close)
         self.peer.register(self._connect_program())
+
+    def _on_close(self) -> None:
+        """Teardown when the link closes: leave the master's live set,
+        and leave the export's fan-out order unless holding leases — a
+        dead holder stays until a fan-out to one of its handles finds
+        it dead, prunes it and counts it (:meth:`RwExport.prune`)."""
+        self.master.connections.pop(self, None)
+        if self.export is not None and not self.leased_handles:
+            self.export.remove(self)
 
     # --- plaintext phase: CONNECT + ENCRYPT -----------------------------------
 
@@ -768,8 +834,10 @@ class ServerConnection:
         else:
             self.peer.register(self._rw_program())
             assert self.export is not None
-            if self not in self.export.connections:
-                self.export.connections.append(self)
+            # A call served after the link closed must not re-enter
+            # the fan-out order: teardown (_on_close) has already run.
+            if self in self.master.connections:
+                self.export.register(self)
 
     def _deregister_session_programs(self) -> None:
         """Withdraw the session dialect while the pipe is in plaintext
@@ -883,17 +951,21 @@ class ServerConnection:
             target = args
             for attr in path:
                 target = getattr(target, attr)
-            self.leased_handles.add(target)
+            self._lease(target)
         for path, optional in handlemap._RES_HANDLES.get(proc, []):
             target = body
             for attr in path:
                 target = getattr(target, attr)
             if target is not None:
-                self.leased_handles.add(target)
+                self._lease(target)
         if proc == nfs_const.NFSPROC3_READDIRPLUS:
             for entry in body.entries:
                 if entry.name_handle is not None:
-                    self.leased_handles.add(entry.name_handle)
+                    self._lease(entry.name_handle)
+
+    def _lease(self, plain_handle: bytes) -> None:
+        self.leased_handles.add(plain_handle)
+        self.export.add_lease(self, plain_handle)
 
     @property
     def alive(self) -> bool:
@@ -906,6 +978,8 @@ class ServerConnection:
         self.invalidations_sent += 1
         self._m_invalidations.inc()
         self.leased_handles.discard(plain_handle)
+        if self.export is not None:
+            self.export.drop_lease(self, plain_handle)
         try:
             # One-way on purpose ("without waiting for acknowledgment"):
             # waiting would let one unreachable lease holder — crashed,
@@ -918,12 +992,7 @@ class ServerConnection:
             )
         except Exception:  # noqa: BLE001 - invalidations are best-effort
             if not self.alive and self.export is not None:
-                try:
-                    self.export.connections.remove(self)
-                except ValueError:
-                    pass
-                else:
-                    self.master.note_pruned()
+                self.export.prune(self)
 
     # -- user authentication --
 

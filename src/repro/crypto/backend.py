@@ -7,7 +7,8 @@ library.  Where a bit-identical faster implementation exists, this
 module lets the hot paths delegate to it so that benchmark results
 reflect the paper's relative costs rather than pure-Python speed:
 
-* ``use_fast_sha1`` — one-shot SHA-1/HMAC go through hashlib's C code.
+* ``use_fast_sha1`` — SHA-1/HMAC, one-shot and streaming
+  (:func:`new_sha1`), go through hashlib's C code.
 * ``use_fast_arc4`` — ARC4 keystream blocks come from
   :mod:`repro.crypto.arc4kernel` (OpenSSL's RC4 when its layout
   self-check passes, else the unrolled pure-Python block loop) instead
@@ -31,6 +32,8 @@ from __future__ import annotations
 
 import hashlib
 import hmac as _hmac
+
+from .sha1 import SHA1
 
 #: When True (default), one-shot SHA-1/HMAC use hashlib's C implementation.
 use_fast_sha1 = True
@@ -60,6 +63,20 @@ def set_fast(enabled: bool, *, sha1: bool | None = None,
 
 def fast_sha1(data: bytes) -> bytes:
     return hashlib.sha1(data).digest()
+
+
+def new_sha1(data: bytes = b""):
+    """A streaming SHA-1 object (``update``/``digest``/``copy``).
+
+    hashlib's when ``use_fast_sha1`` is set, else the from-scratch
+    reference :class:`repro.crypto.sha1.SHA1`.  Code that hashes in
+    pieces (HostIDs, session keys, the entropy pool) must come through
+    here, not construct the reference directly, or it bypasses the
+    fast lane.
+    """
+    if use_fast_sha1:
+        return hashlib.sha1(data)
+    return SHA1(data)
 
 
 def fast_hmac_sha1(key: bytes, message: bytes) -> bytes:

@@ -19,7 +19,8 @@ from __future__ import annotations
 import os
 import time
 
-from .sha1 import SHA1, sha1
+from .backend import new_sha1
+from .sha1 import sha1
 from .util import bytes_to_int, int_to_bytes
 
 _STATE_BITS = 512
@@ -37,7 +38,7 @@ class EntropyPool:
     """
 
     def __init__(self) -> None:
-        self._hash = SHA1(b"SFS-entropy-pool")
+        self._hash = new_sha1(b"SFS-entropy-pool")
         self._count = 0
 
     def add(self, label: str, data: bytes) -> None:

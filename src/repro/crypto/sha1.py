@@ -14,6 +14,26 @@ import struct
 _MASK = 0xFFFFFFFF
 
 
+class ReferenceStats:
+    """Process-wide count of message bytes the reference SHA1 absorbed.
+
+    With the fast lane on (:func:`repro.crypto.backend.new_sha1`) the
+    protocol paths never reach the reference, so a nonzero count there
+    is a fast lane that silently stopped being used.
+    """
+
+    __slots__ = ("reference_bytes",)
+
+    def __init__(self) -> None:
+        self.reference_bytes = 0
+
+    def snapshot(self) -> dict[str, int]:
+        return {"reference_bytes": self.reference_bytes}
+
+
+STATS = ReferenceStats()
+
+
 def _rotl(value: int, amount: int) -> int:
     return ((value << amount) | (value >> (32 - amount))) & _MASK
 
@@ -34,6 +54,7 @@ class SHA1:
 
     def update(self, data: bytes) -> None:
         """Absorb more message bytes."""
+        STATS.reference_bytes += len(data)
         self._length += len(data)
         self._buffer += data
         nblocks = len(self._buffer) // 64
@@ -76,13 +97,13 @@ class SHA1:
     def digest(self) -> bytes:
         """Return the 20-byte digest of the data absorbed so far."""
         clone = self.copy()
-        bit_length = clone._length * 8
-        clone.update(b"\x80")
-        while len(clone._buffer) != 56:
-            clone.update(b"\x00")
-        # Append the length directly so it is not counted in _length.
-        clone._buffer += struct.pack(">Q", bit_length)
-        clone._compress(clone._buffer)
+        # Padding goes straight to the compression function: it is not
+        # message data, so neither _length nor STATS counts it.
+        padding = b"\x80" + bytes((55 - clone._length) % 64)
+        tail = (clone._buffer + padding
+                + struct.pack(">Q", clone._length * 8))
+        for offset in range(0, len(tail), 64):
+            clone._compress(tail[offset:offset + 64])
         return struct.pack(">5I", *clone._h)
 
     def hexdigest(self) -> str:

@@ -54,7 +54,7 @@ def _chk_drain(rt, params: dict) -> list[str]:
     failures = [f"hung task {task.name!r} never finished"
                 for task in rt.blocked]
     failures.extend(
-        f"task {task.name!r} died: {task.error!r}"
+        f"task {task.name!r} died: {task.exception!r}"
         for task in rt.scheduler.tasks
         if task.failed and not task.daemon
     )

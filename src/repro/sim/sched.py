@@ -170,6 +170,9 @@ class Scheduler:
         self.metrics = metrics if metrics is not None else NULL_REGISTRY
         self._ready: list[Task] = []
         self.tasks: list[Task] = []
+        #: Unfinished non-daemon tasks.  :meth:`run` loops on this count
+        #: so a step costs the same whether 10 or 10,000 tasks exist.
+        self._live_count = 0
         self.steps = 0
         #: The task currently being stepped, if any — how re-entrant
         #: (legacy sync) code can tell it is running inside a task.
@@ -192,6 +195,8 @@ class Scheduler:
         """Register a generator as a runnable task."""
         task = Task(gen, name, daemon)
         self.tasks.append(task)
+        if not daemon:
+            self._live_count += 1
         self._m_spawned.inc()
         self._enqueue(task)
         return task
@@ -229,11 +234,11 @@ class Scheduler:
             else:
                 waited = task.gen.send(send)
         except StopIteration as stop:
-            task.finished = True
+            self._finish(task)
             task.result = stop.value
             return
         except BaseException as exc:  # noqa: BLE001 - recorded, not hidden
-            task.finished = True
+            self._finish(task)
             task.failed = True
             task.exception = exc
             self._m_failed.inc()
@@ -242,6 +247,11 @@ class Scheduler:
             task._running = False
             self.current = previous
         self._park(task, waited)
+
+    def _finish(self, task: Task) -> None:
+        task.finished = True
+        if not task.daemon:
+            self._live_count -= 1
 
     def _park(self, task: Task, waited: Any) -> None:
         if isinstance(waited, Future):
@@ -284,6 +294,8 @@ class Scheduler:
     # -- run loops --------------------------------------------------------
 
     def _live(self) -> list[Task]:
+        """Every unfinished non-daemon task: a full scan, kept off the
+        run loop (only stall reports and :meth:`run`'s return use it)."""
         return [t for t in self.tasks if not t.finished and not t.daemon]
 
     def _describe_blocked(self, limit: int = 8) -> str:
@@ -364,12 +376,12 @@ class Scheduler:
         Returns the list of *blocked* non-daemon tasks (empty on a clean
         run): tasks still waiting on futures that can no longer resolve.
         """
-        while self._live():
+        while self._live_count:
             try:
                 self.pump_once()
             except SchedulerStalled:
                 break
-        return self._live()
+        return self._live() if self._live_count else []
 
     def drain(self) -> None:
         """Assert a clean shutdown: no blocked or unfinished tasks."""

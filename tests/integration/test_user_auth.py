@@ -44,7 +44,7 @@ def test_login_maps_key_to_credentials(auth_world):
     authno = session.login(agent)
     assert authno != 0
     # The authno carries alice's uid on the server side.
-    connection = server.master.rw_export(path.hostid).connections[-1]
+    connection = list(server.master.rw_export(path.hostid).connections)[-1]
     assert connection._authnos[authno].uid == 1000
 
 
@@ -122,7 +122,7 @@ def test_logout_invalidates_authno(auth_world):
     agent.add_key(alice.key)
     session = connect_session(world, path)
     authno = session.login(agent)
-    connection = server.master.rw_export(path.hostid).connections[-1]
+    connection = list(server.master.rw_export(path.hostid).connections)[-1]
     assert authno in connection._authnos
     from repro.rpc.xdr import VOID
     session.peer.call(

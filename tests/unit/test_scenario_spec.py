@@ -199,6 +199,28 @@ def test_assertion_unknown_param_rejected():
         spec_from_dict(minimal(assertions=assertions))
 
 
+def test_drain_reports_a_failed_task_readably():
+    """A non-daemon task that raised fails ``drain`` with its exception,
+    instead of the check itself dying on an attribute Task lacks."""
+    from types import SimpleNamespace
+
+    from repro.scenario.assertions import CHECKS
+    from repro.sim.clock import Clock
+    from repro.sim.sched import Scheduler, Sleep
+
+    scheduler = Scheduler(Clock(), seed=0)
+
+    def boom():
+        yield Sleep(0.01)
+        raise ValueError("disk on fire")
+
+    scheduler.spawn(boom(), name="writer")
+    scheduler.spawn(boom(), name="helper", daemon=True)
+    runtime = SimpleNamespace(blocked=scheduler.run(), scheduler=scheduler)
+    failures = CHECKS["drain"].fn(runtime, {})
+    assert failures == ["task 'writer' died: ValueError('disk on fire')"]
+
+
 # -- file loading ------------------------------------------------------------
 
 
