@@ -37,7 +37,7 @@ import json
 import sys
 import time
 
-from ..crypto import arc4kernel, backend
+from ..crypto import arc4kernel, backend, numtheory
 from ..crypto.sha1 import STATS as SHA1_STATS
 from ..obs.export import SnapshotCollector
 from ..rpc import xdr
@@ -49,19 +49,20 @@ MICRO_CONFIGS = [NFS_UDP, NFS_TCP, SFS, SFS_NOENC]
 APP_CONFIGS = [LOCAL, NFS_UDP, NFS_TCP, SFS]
 
 _LAYERS = ["crypto", "rpc", "nfs3", "network", "disk", "other"]
-_FASTLANE_GROUPS = ("arc4", "sha1", "marshal")
+_FASTLANE_GROUPS = ("arc4", "sha1", "marshal", "modexp")
 
 
 def perf_stats() -> dict:
     """Process-wide fast-lane counters (see docs/PERFORMANCE.md).
 
-    The ARC4 kernel, reference SHA-1 and marshal counters are
-    module-level because the cipher streams, hash objects and codec
-    singletons are shared across every World in the process; figure
-    runners snapshot-and-diff around each figure.
+    The ARC4 kernel, reference SHA-1, marshal and modexp counters are
+    module-level because the cipher streams, hash objects, codec
+    singletons and key arithmetic are shared across every World in the
+    process; figure runners snapshot-and-diff around each figure.
     """
     return {
         "fast_kernel": arc4kernel.FAST_KERNEL,
+        "modexp_kernel": numtheory.MODEXP_KERNEL,
         "flags": {
             "use_fast_sha1": backend.use_fast_sha1,
             "use_fast_arc4": backend.use_fast_arc4,
@@ -70,6 +71,7 @@ def perf_stats() -> dict:
         "arc4": arc4kernel.STATS.snapshot(),
         "sha1": SHA1_STATS.snapshot(),
         "marshal": xdr.STATS.snapshot(),
+        "modexp": numtheory.STATS.snapshot(),
     }
 
 

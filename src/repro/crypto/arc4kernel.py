@@ -37,6 +37,8 @@ from __future__ import annotations
 import ctypes
 import struct
 
+from . import libcrypto
+
 _STATE_WORDS = struct.Struct("<258I")  # x, y, data[256] as 32-bit ints
 
 
@@ -181,18 +183,11 @@ class _LibcryptoKernel:
 
 
 def _load_libcrypto() -> _LibcryptoKernel | None:
-    for name in ("libcrypto.so.3", "libcrypto.so.1.1", "libcrypto.so",
-                 "libcrypto.dylib"):
-        try:
-            lib = ctypes.CDLL(name)
-        except OSError:
-            continue
-        if not (hasattr(lib, "RC4") and hasattr(lib, "RC4_set_key")):
-            continue
-        kernel = _LibcryptoKernel(lib)
-        if kernel.self_check():
-            return kernel
-    return None
+    lib = libcrypto.find("RC4", "RC4_set_key")
+    if lib is None:
+        return None
+    kernel = _LibcryptoKernel(lib)
+    return kernel if kernel.self_check() else None
 
 
 _LIBCRYPTO = _load_libcrypto()

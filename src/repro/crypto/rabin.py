@@ -25,14 +25,9 @@ residue, which gives every (padded) message a square root after a cheap
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .numtheory import (
-    crt_pair,
-    gen_prime,
-    jacobi,
-    sqrt_mod_blum_prime,
-)
+from .numtheory import crt_pair, gen_prime, modinv, powmod
 from .sha1 import sha1
 from .util import bytes_to_int, constant_time_eq, int_to_bytes
 
@@ -113,24 +108,65 @@ class PublicKey:
         return candidate == target
 
 
+# (m is a residue mod p, m is a residue mod q) -> the tweak (e, f) that
+# makes e*f*m a residue mod both.  Both primes are 3 (mod 4), so
+# multiplying by -1 flips residuosity modulo both.  2 is a non-residue
+# mod p (p = 3 mod 8) but a residue mod q (q = 7 mod 8), so multiplying
+# by 2 flips only the p side, and by -2 only the q side.
+_TWEAKS = {
+    (True, True): (1, 1),
+    (False, False): (-1, 1),
+    (False, True): (1, 2),
+    (True, False): (-1, 2),
+}
+
+
+def _tweak_roots(prime: int, exponent: int) -> dict[int, int]:
+    """``t ** exponent mod prime`` for each tweak factor t = e*f."""
+    minus_one = prime - 1 if exponent & 1 else 1
+    two = powmod(2, exponent, prime)
+    return {1: 1, -1: minus_one, 2: two, -2: minus_one * two % prime}
+
+
 @dataclass(frozen=True)
 class PrivateKey:
-    """A Rabin-Williams private key: the factorization of n."""
+    """A Rabin-Williams private key: the factorization of n.
+
+    Only ``p`` and ``q`` are compared and serialised.  The rest is CRT
+    state derived once per key, so that each private-key operation costs
+    its two half-size exponentiations and nothing more: the modulus, the
+    CRT coefficient ``q^-1 mod p``, the root exponents ``(p+1)/4`` and
+    ``(q+1)/4``, and those exponents applied to each tweak factor.
+    """
 
     p: int
     q: int
+    n: int = field(init=False, repr=False, compare=False)
+    _q_inv: int = field(init=False, repr=False, compare=False)
+    _exp_p: int = field(init=False, repr=False, compare=False)
+    _exp_q: int = field(init=False, repr=False, compare=False)
+    _roots_p: dict[int, int] = field(init=False, repr=False, compare=False)
+    _roots_q: dict[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.p % 8 != 3 or self.q % 8 != 7:
+        p, q = self.p, self.q
+        if p % 8 != 3 or q % 8 != 7:
             raise RabinError("Rabin-Williams requires p=3 (mod 8), q=7 (mod 8)")
-
-    @property
-    def n(self) -> int:
-        return self.p * self.q
+        exp_p, exp_q = (p + 1) // 4, (q + 1) // 4
+        derived = {
+            "n": p * q,
+            "_q_inv": modinv(q, p),
+            "_exp_p": exp_p,
+            "_exp_q": exp_q,
+            "_roots_p": _tweak_roots(p, exp_p),
+            "_roots_q": _tweak_roots(q, exp_q),
+        }
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
     @property
     def public_key(self) -> PublicKey:
-        return PublicKey(self.p * self.q)
+        return PublicKey(self.n)
 
     def to_bytes(self) -> bytes:
         """Serialize both primes, length-prefixed."""
@@ -172,15 +208,16 @@ class PrivateKey:
         raise RabinError("no square root yields valid OAEP padding")
 
     def _square_roots(self, c: int) -> list[int]:
-        rp = sqrt_mod_blum_prime(c % self.p, self.p)
-        rq = sqrt_mod_blum_prime(c % self.q, self.q)
-        if rp * rp % self.p != c % self.p or rq * rq % self.q != c % self.q:
+        p, q = self.p, self.q
+        cp, cq = c % p, c % q
+        rp = powmod(cp, self._exp_p, p)
+        rq = powmod(cq, self._exp_q, q)
+        if rp * rp % p != cp or rq * rq % q != cq:
             return []
-        n = self.n
         roots = set()
-        for sp in (rp, self.p - rp):
-            for sq in (rq, self.q - rq):
-                roots.add(crt_pair(sp, self.p, sq, self.q))
+        for sp in (rp, p - rp):
+            for sq in (rq, q - rq):
+                roots.add(crt_pair(sp, p, sq, q, self._q_inv))
         return sorted(roots)
 
     # --- signing ---------------------------------------------------------
@@ -191,37 +228,32 @@ class PrivateKey:
         The signature is ``tweak_byte || root`` where the tweak byte
         encodes (e, f) with e in {1, -1} and f in {1, 2} such that
         ``e * f * m`` is a quadratic residue mod n.
+
+        ``r = m ** ((p+1)/4) mod p`` squares to ``m`` exactly when m is a
+        residue mod p (and to ``-m`` otherwise), so the two root
+        exponentiations also decide the tweak.  Exponentiation is
+        multiplicative, so the root of ``e*f*m`` is the precomputed
+        root of ``e*f`` times ``r``: the same value a direct
+        exponentiation of ``e*f*m`` gives.
         """
-        n = self.n
+        n, p, q = self.n, self.p, self.q
         m = _fdh_encode(message, n)
-        e, f = self._tweak(m)
-        target = e * f % n * m % n
-        rp = sqrt_mod_blum_prime(target % self.p, self.p)
-        rq = sqrt_mod_blum_prime(target % self.q, self.q)
-        s = crt_pair(rp, self.p, rq, self.q)
+        mp, mq = m % p, m % q
+        if not mp or not mq:
+            # Vanishingly unlikely: the hash shares a factor with n.
+            raise RabinError("message hash not coprime to modulus")
+        rp = powmod(mp, self._exp_p, p)
+        rq = powmod(mq, self._exp_q, q)
+        e, f = _TWEAKS[rp * rp % p == mp, rq * rq % q == mq]
+        ef = e * f
+        rp = self._roots_p[ef] * rp % p
+        rq = self._roots_q[ef] * rq % q
+        s = crt_pair(rp, p, rq, q, self._q_inv)
+        target = ef % n * m % n
         if s * s % n != target:
             raise RabinError("internal error: padded hash not a residue")
         tweak = (0 if e == 1 else 2) | (0 if f == 1 else 1)
         return bytes([tweak]) + int_to_bytes(s, self.public_key.size)
-
-    def _tweak(self, m: int) -> tuple[int, int]:
-        """Choose (e, f) making ``e*f*m`` a residue mod both primes."""
-        jp = jacobi(m % self.p, self.p)
-        jq = jacobi(m % self.q, self.q)
-        if jp == 0 or jq == 0:
-            # Vanishingly unlikely: the hash shares a factor with n.
-            raise RabinError("message hash not coprime to modulus")
-        # Both primes are 3 (mod 4), so multiplying by -1 flips the symbol
-        # modulo both.  2 is a non-residue mod p (p = 3 mod 8) but a residue
-        # mod q (q = 7 mod 8), so multiplying by 2 flips only the p symbol,
-        # and by -2 only the q symbol.
-        if jp == 1 and jq == 1:
-            return 1, 1
-        if jp == -1 and jq == -1:
-            return -1, 1
-        if jp == -1 and jq == 1:
-            return 1, 2
-        return -1, 2
 
 
 def _split_signature(signature: bytes, size: int) -> tuple[int, int, int]:

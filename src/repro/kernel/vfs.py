@@ -382,9 +382,14 @@ class Process:
     # --- file I/O -----------------------------------------------------------
 
     def open(self, path: str, flags: str = "r", mode: int = 0o644) -> int:
-        """Open a file.  *flags*: r, w (truncate+create), a, rw, x (excl)."""
+        """Open a file.  *flags*: r, w (truncate+create), a, rw, x (excl).
+
+        ``rw`` opens an existing file for reading and writing: it neither
+        creates nor truncates, and checks both read and modify access.
+        """
         absolute = self._abspath(path)
-        create = any(f in flags for f in ("w", "a", "x"))
+        read_write = flags == "rw"
+        create = not read_write and any(f in flags for f in ("w", "a", "x"))
         client_cred = self.cred
         if create:
             mount, dir_fh, leaf = self.kernel.resolve_parent(absolute, client_cred)
@@ -405,13 +410,16 @@ class Process:
                 raise KernelError(errno.EISDIR, path)
             # Like a real NFS client, check permissions with ACCESS at
             # open time (this is the call SFS's access cache absorbs).
+            wanted = nfs_const.ACCESS3_READ
+            if read_write:
+                wanted |= nfs_const.ACCESS3_MODIFY
             try:
                 granted = mount.client.with_cred(client_cred).access(
-                    fh, nfs_const.ACCESS3_READ
+                    fh, wanted
                 )
             except Nfs3Error as exc:
                 _raise_from_nfs(exc, path)
-            if not granted & nfs_const.ACCESS3_READ:
+            if granted & wanted != wanted:
                 raise KernelError(errno.EACCES, path)
         handle = FileHandle(mount, fh, flags, path=absolute)
         if "a" in flags:

@@ -1,10 +1,13 @@
 """Tests for repro.crypto.numtheory."""
 
+import ctypes
+import gc
 import random
 
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.crypto import libcrypto, numtheory
 from repro.crypto.numtheory import (
     crt_pair,
     egcd,
@@ -12,6 +15,7 @@ from repro.crypto.numtheory import (
     is_probable_prime,
     jacobi,
     modinv,
+    powmod,
     small_primes,
     sqrt_mod_blum_prime,
 )
@@ -112,7 +116,81 @@ def test_sqrt_mod_requires_3_mod_4():
        st.integers(min_value=0, max_value=2002))
 def test_crt_pair(rp, rq):
     p, q = 1009, 2003
-    combined = crt_pair(rp, p, rq, q)
+    combined = crt_pair(rp, p, rq, q, modinv(q, p))
     assert combined % p == rp
     assert combined % q == rq
     assert 0 <= combined < p * q
+
+
+def _powmod_cases():
+    rng = random.Random(2048)
+    for bits in (64, 127, 256, 384, 512, 768, 1024, 1536, 2048):
+        mod = rng.getrandbits(bits) | (1 << (bits - 1)) | 1
+        yield rng.getrandbits(bits) % mod, rng.getrandbits(bits), mod
+        yield mod + rng.getrandbits(bits), rng.getrandbits(bits // 2), mod
+        yield rng.getrandbits(3 * bits), rng.getrandbits(bits), mod
+        yield 0, rng.getrandbits(bits), mod
+        yield rng.getrandbits(bits), 0, mod
+        yield rng.getrandbits(bits), 1, mod
+        yield mod, rng.getrandbits(bits), mod
+        yield mod - 1, rng.getrandbits(bits), mod
+    yield 12345, 678, 2**64  # even modulus: builtin pow
+    yield 7, 5, 1
+    yield 7, 0, 1
+    yield -5, 3, 1019  # negative base
+    yield 3, -1, 1019  # negative exponent (a modular inverse): builtin pow
+
+
+@pytest.mark.parametrize("base,exp,mod", list(_powmod_cases()))
+def test_powmod_matches_builtin_pow(base, exp, mod):
+    assert powmod(base, exp, mod) == pow(base, exp, mod)
+
+
+def test_modexp_kernel_loads_wherever_libcrypto_exports_it():
+    # A self-check that stopped passing would quietly leave every
+    # exponentiation on builtin pow; where the symbols exist it must not.
+    lib = libcrypto.find(*numtheory.LIBCRYPTO_SYMBOLS)
+    expected = "builtin" if lib is None else "libcrypto"
+    assert numtheory.MODEXP_KERNEL == expected
+
+
+@pytest.mark.parametrize("mod,path", [
+    (2**64, "builtin_calls"),  # even: always builtin pow
+    (2**521 - 1, "libcrypto_calls"),
+])
+def test_powmod_counts_the_path_that_served_it(mod, path):
+    if path == "libcrypto_calls" and numtheory.MODEXP_KERNEL != "libcrypto":
+        pytest.skip("libcrypto modexp kernel unavailable")
+    before = numtheory.STATS.snapshot()
+    assert powmod(5, 2**300 + 17, mod) == pow(5, 2**300 + 17, mod)
+    after = numtheory.STATS.snapshot()
+    assert {k: after[k] - before[k] for k in after} == {
+        k: int(k == path) for k in after}
+
+
+def _ctypes_types() -> set[int]:
+    bases = (ctypes.Array, ctypes._Pointer, ctypes._SimpleCData,
+             ctypes.Structure, ctypes.Union, ctypes._CFuncPtr)
+    return {id(obj) for obj in gc.get_objects()
+            if isinstance(obj, type) and issubclass(obj, bases)}
+
+
+def test_powmod_leaves_no_cyclic_garbage():
+    rng = random.Random(1000)
+    mod = rng.getrandbits(384) | (1 << 383) | 1
+    operands = [(rng.getrandbits(384), rng.getrandbits(384))
+                for _ in range(1000)]
+    gc.collect()
+    gc.garbage.clear()
+    types_before = _ctypes_types()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        for base, exp in operands:
+            powmod(base, exp, mod)
+        gc.collect()
+        garbage = list(gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert garbage == []
+    assert _ctypes_types() == types_before

@@ -1,5 +1,6 @@
 """Tests for the Rabin-Williams cryptosystem (repro.crypto.rabin)."""
 
+import hashlib
 import random
 
 import pytest
@@ -102,9 +103,16 @@ def test_signing_is_deterministic(key):
     assert key.sign(b"stable") == key.sign(b"stable")
 
 
+# The tweak byte (e, f) that makes e*f*m a residue, predicted from the
+# Jacobi symbols of m mod p and mod q: -1 flips both symbols, 2 flips
+# only the p symbol (p = 3 mod 8), -2 only the q symbol (q = 7 mod 8).
+_JACOBI_TWEAK_BYTE = {(1, 1): 0b00, (-1, -1): 0b10, (-1, 1): 0b01,
+                      (1, -1): 0b11}
+
+
 def test_tweak_covers_all_jacobi_cases(key):
-    # Find messages hitting each (jp, jq) combination and check each
-    # signature verifies (the e/f tweak logic must handle all four).
+    # Find messages hitting each (jp, jq) combination; each signature
+    # must verify and carry the tweak the Jacobi symbols predict.
     seen = set()
     counter = 0
     while len(seen) < 4 and counter < 200:
@@ -113,14 +121,44 @@ def test_tweak_covers_all_jacobi_cases(key):
         case = (jacobi(m % key.p, key.p), jacobi(m % key.q, key.q))
         if case not in seen:
             seen.add(case)
-            assert key.public_key.verify(message, key.sign(message))
+            signature = key.sign(message)
+            assert key.public_key.verify(message, signature)
+            assert signature[0] == _JACOBI_TWEAK_BYTE[case], case
         counter += 1
     assert len(seen) == 4, f"only exercised {seen}"
 
 
+# SHA-256 over keys, signatures, ciphertexts and decryptions for fixed
+# keys and messages, frozen from the implementation that took every root
+# with a direct exponentiation of the tweaked target and chose the tweak
+# from Jacobi symbols.  Any change to the private-key arithmetic must
+# reproduce these bytes exactly.
+_GOLDEN_DIGEST = (
+    "2d87931638b64ac9c0b90091855079652571dfcfacbe7e3c2cda75b666ad62fb"
+)
+
+
+def test_golden_signatures_and_decryptions():
+    digest = hashlib.sha256()
+    for bits in (512, 768, 1024):
+        key = rabin.generate_key(bits, random.Random(bits))
+        digest.update(key.to_bytes())
+        rng = random.Random(bits + 1)
+        for index in range(16):
+            message = f"golden {bits} {index}".encode()
+            digest.update(key.sign(message))
+            ciphertext = key.public_key.encrypt(message, rng)
+            digest.update(ciphertext)
+            digest.update(key.decrypt(ciphertext))
+    assert digest.hexdigest() == _GOLDEN_DIGEST
+
+
 def test_serialization_roundtrip(key):
     assert rabin.PublicKey.from_bytes(key.public_key.to_bytes()) == key.public_key
-    assert rabin.PrivateKey.from_bytes(key.to_bytes()) == key
+    twin = rabin.PrivateKey.from_bytes(key.to_bytes())
+    # The precomputed CRT state is derived, not compared or printed.
+    assert twin == key and hash(twin) == hash(key)
+    assert repr(twin) == f"PrivateKey(p={key.p}, q={key.q})"
 
 
 def test_public_key_deserialization_errors():

@@ -63,6 +63,31 @@ def test_open_missing_file(root):
     assert excinfo.value.errno == errno.ENOENT
 
 
+def test_open_rw_keeps_existing_bytes(root):
+    root.write_file("/f", b"0123456789")
+    fd = root.open("/f", "rw")
+    assert root.read(fd, 4) == b"0123"
+    root.lseek(fd, 6)
+    assert root.write(fd, b"XY") == 2
+    root.lseek(fd, 0)
+    assert root.read(fd, 10) == b"012345XY89"
+    root.close(fd)
+    assert root.read_file("/f") == b"012345XY89"
+
+
+def test_open_rw_neither_creates_nor_skips_access(root, alice):
+    with pytest.raises(KernelError) as excinfo:
+        root.open("/missing", "rw")
+    assert excinfo.value.errno == errno.ENOENT
+    root.write_file("/readonly", b"keep", mode=0o644)
+    with pytest.raises(KernelError) as excinfo:
+        alice.open("/readonly", "rw")
+    assert excinfo.value.errno == errno.EACCES
+    fd = alice.open("/readonly", "r")
+    alice.close(fd)
+    assert root.read_file("/readonly") == b"keep"
+
+
 def test_open_directory_for_read_rejected(root):
     root.mkdir("/d")
     with pytest.raises(KernelError) as excinfo:
