@@ -71,8 +71,18 @@ def wrap_envelope(protocol: str, body: bytes) -> bytes:
     ))
 
 
+#: The packed magic field an envelope starts with (XDR string: length,
+#: bytes, zero pad).  Peeking at it keeps every public-key login from
+#: being decoded, and rejected, as an envelope.
+_MAGIC = proto.AUTH_ENVELOPE_MAGIC.encode()
+_ENVELOPE_PREFIX = (len(_MAGIC).to_bytes(4, "big") + _MAGIC
+                    + bytes(-len(_MAGIC) % 4))
+
+
 def unwrap_envelope(blob: bytes) -> tuple[str, bytes] | None:
     """Parse an envelope; None if this is a legacy (pubkey) message."""
+    if blob[:len(_ENVELOPE_PREFIX)] != _ENVELOPE_PREFIX:
+        return None
     try:
         envelope = proto.AuthEnvelope.unpack(blob)
     except XdrError:

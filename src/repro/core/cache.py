@@ -41,6 +41,7 @@ class LeaseCache:
         self._lease = lease_duration
         self.enabled = enabled
         self._entries: dict[bytes, dict[Any, _Entry]] = {}
+        self._next_sweep = clock.now + lease_duration
         self.hits = 0
         self.misses = 0
         self.invalidations = 0
@@ -71,9 +72,28 @@ class LeaseCache:
     def put(self, handle: bytes, value: Any, key: Any = None) -> None:
         if not self.enabled:
             return
+        now = self._clock.now
+        if now >= self._next_sweep:
+            self._sweep(now)
         self._entries.setdefault(handle, {})[key] = _Entry(
-            value, self._clock.now + self._lease
+            value, now + self._lease
         )
+
+    def _sweep(self, now: float) -> None:
+        """Drop the entries ``get`` would count as expired; runs at most
+        once per lease duration, so the cache holds about one lease's
+        worth of entries instead of everything ever cached."""
+        self._next_sweep = now + self._lease
+        for handle, by_key in list(self._entries.items()):
+            for key in [key for key, entry in by_key.items()
+                        if entry.expires < now]:
+                del by_key[key]
+            if not by_key:
+                del self._entries[handle]
+
+    def size(self) -> int:
+        """Entries held, expired or not."""
+        return sum(len(by_key) for by_key in self._entries.values())
 
     def invalidate(self, handle: bytes) -> None:
         """Drop all entries for *handle* (server callback or local write)."""

@@ -13,15 +13,17 @@ reflect the paper's relative costs rather than pure-Python speed:
   :mod:`repro.crypto.arc4kernel` (OpenSSL's RC4 when its layout
   self-check passes, else the unrolled pure-Python block loop) instead
   of the reference per-byte loop.
-* ``use_fast_marshal`` — XDR codecs with an installed flat fast path
-  (:mod:`repro.nfs3.fastpath`) marshal via precompiled struct formats
-  instead of per-field codec dispatch.
+* ``use_fast_marshal`` — every XDR codec marshals through its compiled
+  lane (flat code generated from its combinator tree on first use, see
+  :mod:`repro.rpc.xdr`) instead of per-field codec dispatch.
 
 The delegation is sound precisely because the outputs are identical —
 ``tests/unit/test_sha1.py`` asserts equality between the from-scratch
 SHA-1 and hashlib on randomized inputs, and the golden wire-vector
-suite (``tests/unit/test_wire_vectors.py``) asserts that channel records
-and the hot NFS3 marshals are bit-for-bit the same under both settings —
+suite (``tests/unit/test_wire_vectors.py``) asserts that channel records,
+NFS3 marshals and RPC envelopes are bit-for-bit the same under both
+settings, and ``tests/unit/test_xdr_compiled.py`` checks every codec's
+compiled lane against the reference codec —
 so flipping these flags cannot change any protocol bytes, only speed.
 
 Call :func:`set_fast` to switch globally (e.g. ``set_fast(False)`` in
@@ -41,7 +43,7 @@ use_fast_sha1 = True
 #: When True (default), ARC4 keystream generation uses the block kernel.
 use_fast_arc4 = True
 
-#: When True (default), codecs with flat fast paths use them.
+#: When True (default), codecs marshal through their compiled lanes.
 use_fast_marshal = True
 
 

@@ -4,13 +4,21 @@ Only the pieces SFS needs: CALL and REPLY messages, AUTH_NONE and
 AUTH_SYS credential flavors, and the accept/reject status hierarchy.
 Argument and result bodies are carried as raw trailing bytes so each
 program's codecs stay independent of the envelope.
+
+The envelope is on every RPC hop, so it is packed and parsed flat: one
+precompiled ``struct`` per group of fixed header words, and each
+authenticator's wire bytes computed once per credential object
+(:attr:`OpaqueAuth.wire`).  The checks are XDR's: a 400-byte limit on
+authenticator bodies, zero padding, full words, and the RPC version.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import struct
+from dataclasses import dataclass
+from functools import cached_property
 
-from .xdr import Opaque, Packer, String, Unpacker, XdrError
+from .xdr import Array, Record, String, Struct, UInt32, XdrError
 
 RPC_VERSION = 2
 
@@ -42,6 +50,14 @@ AUTH_NONE = 0
 AUTH_SYS = 1
 
 _MAX_AUTH_BODY = 400
+_MAX_GROUPS = 16
+
+_PAD = (b"", b"\x00", b"\x00\x00", b"\x00\x00\x00")
+_W1 = struct.Struct(">I")
+_W2 = struct.Struct(">2I")
+_W3 = struct.Struct(">3I")
+_W4 = struct.Struct(">4I")
+_CALL_HEAD = struct.Struct(">6I")  # xid, CALL, rpcvers, prog, vers, proc
 
 
 class RpcMsgError(XdrError):
@@ -55,18 +71,43 @@ class OpaqueAuth:
     flavor: int = AUTH_NONE
     body: bytes = b""
 
-    def pack_into(self, packer: Packer) -> None:
-        packer.pack_uint32(self.flavor)
-        packer.pack_opaque(self.body, _MAX_AUTH_BODY)
-
-    @classmethod
-    def unpack_from(cls, unpacker: Unpacker) -> "OpaqueAuth":
-        flavor = unpacker.unpack_uint32()
-        body = unpacker.unpack_opaque(_MAX_AUTH_BODY)
-        return cls(flavor, body)
+    @cached_property
+    def wire(self) -> bytes:
+        """Flavor, length, body and zero pad, packed on first use."""
+        body = bytes(self.body)
+        if len(body) > _MAX_AUTH_BODY:
+            raise XdrError(f"opaque exceeds maximum {_MAX_AUTH_BODY}")
+        return _W2.pack(self.flavor, len(body)) + body + _PAD[-len(body) % 4]
 
 
 NULL_AUTH = OpaqueAuth()
+
+
+def _auth_at(data, off: int) -> tuple[OpaqueAuth, int]:
+    """Parse the authenticator at *off*; returns it and the next offset."""
+    flavor, length = _W2.unpack_from(data, off)
+    if length > _MAX_AUTH_BODY:
+        raise XdrError(f"opaque length {length} exceeds maximum "
+                       f"{_MAX_AUTH_BODY}")
+    if not flavor and not length:
+        return NULL_AUTH, off + 8
+    end = off + 8 + length
+    stop = end + (-length % 4)
+    if stop > len(data):
+        raise XdrError("truncated XDR data")
+    if data[end:stop] != _PAD[stop - end]:
+        raise XdrError("nonzero XDR padding")
+    return OpaqueAuth(flavor, bytes(data[off + 8:end])), stop
+
+
+#: authsys_parms (RFC 1831 section 9.2).
+AuthSysParms = Struct("authsys_parms", [
+    ("stamp", UInt32),
+    ("machinename", String(255)),
+    ("uid", UInt32),
+    ("gid", UInt32),
+    ("gids", Array(UInt32)),  # to_auth sends at most 16
+])
 
 
 @dataclass(frozen=True)
@@ -80,32 +121,24 @@ class AuthSys:
     gids: tuple[int, ...] = ()
 
     def to_auth(self) -> OpaqueAuth:
-        packer = Packer()
-        packer.pack_uint32(self.stamp)
-        packer.pack_string(self.machinename, 255)
-        packer.pack_uint32(self.uid)
-        packer.pack_uint32(self.gid)
-        gids = self.gids[:16]
-        packer.pack_uint32(len(gids))
-        for gid in gids:
-            packer.pack_uint32(gid)
-        return OpaqueAuth(AUTH_SYS, packer.detach())
+        """The credential (at most 16 groups), encoded once per instance."""
+        return self._auth
+
+    @cached_property
+    def _auth(self) -> OpaqueAuth:
+        return OpaqueAuth(AUTH_SYS, AuthSysParms.pack(Record(
+            stamp=self.stamp, machinename=self.machinename, uid=self.uid,
+            gid=self.gid, gids=self.gids[:_MAX_GROUPS])))
 
     @classmethod
     def from_auth(cls, auth: OpaqueAuth) -> "AuthSys":
         if auth.flavor != AUTH_SYS:
             raise RpcMsgError("not an AUTH_SYS credential")
-        unpacker = Unpacker(auth.body)
-        stamp = unpacker.unpack_uint32()
-        machinename = unpacker.unpack_string(255)
-        uid = unpacker.unpack_uint32()
-        gid = unpacker.unpack_uint32()
-        count = unpacker.unpack_uint32()
-        if count > 16:
+        parms = AuthSysParms.unpack(auth.body)
+        if len(parms.gids) > _MAX_GROUPS:
             raise RpcMsgError("too many groups in AUTH_SYS")
-        gids = tuple(unpacker.unpack_uint32() for _ in range(count))
-        unpacker.done()
-        return cls(stamp, machinename, uid, gid, gids)
+        return cls(parms.stamp, parms.machinename, parms.uid, parms.gid,
+                   tuple(parms.gids))
 
 
 @dataclass(frozen=True)
@@ -121,17 +154,14 @@ class CallHeader:
 
 
 def pack_call(header: CallHeader, args: bytes) -> bytes:
-    packer = Packer()
-    packer.pack_uint32(header.xid)
-    packer.pack_uint32(CALL)
-    packer.pack_uint32(RPC_VERSION)
-    packer.pack_uint32(header.prog)
-    packer.pack_uint32(header.vers)
-    packer.pack_uint32(header.proc)
-    header.cred.pack_into(packer)
-    header.verf.pack_into(packer)
-    packer.pack_raw(args)  # envelope + body leave as one buffer
-    return packer.detach()
+    try:
+        # Envelope and body leave as one buffer.
+        return b"".join((
+            _CALL_HEAD.pack(header.xid, CALL, RPC_VERSION, header.prog,
+                            header.vers, header.proc),
+            header.cred.wire, header.verf.wire, args))
+    except struct.error:
+        raise XdrError(f"uint32 out of range in {header}") from None
 
 
 @dataclass(frozen=True)
@@ -153,26 +183,25 @@ class ReplyHeader:
 
 
 def pack_reply(header: ReplyHeader, results: bytes = b"") -> bytes:
-    packer = Packer()
-    packer.pack_uint32(header.xid)
-    packer.pack_uint32(REPLY)
-    packer.pack_uint32(header.reply_stat)
-    if header.reply_stat == MSG_ACCEPTED:
-        header.verf.pack_into(packer)
-        packer.pack_uint32(header.accept_stat)
-        if header.accept_stat == PROG_MISMATCH:
-            packer.pack_uint32(header.mismatch_low)
-            packer.pack_uint32(header.mismatch_high)
-        elif header.accept_stat == SUCCESS:
-            packer.pack_raw(results)
-    else:
-        packer.pack_uint32(header.reject_stat)
+    try:
+        head = _W3.pack(header.xid, REPLY, header.reply_stat)
+        if header.reply_stat == MSG_ACCEPTED:
+            accept = header.accept_stat
+            verf = header.verf.wire
+            if accept == SUCCESS:
+                return b"".join((head, verf, _W1.pack(SUCCESS), results))
+            if accept == PROG_MISMATCH:
+                tail = _W3.pack(accept, header.mismatch_low,
+                                header.mismatch_high)
+            else:
+                tail = _W1.pack(accept)
+            return head + verf + tail
         if header.reject_stat == RPC_MISMATCH:
-            packer.pack_uint32(header.mismatch_low)
-            packer.pack_uint32(header.mismatch_high)
-        else:
-            packer.pack_uint32(header.auth_stat)
-    return packer.detach()
+            return head + _W3.pack(RPC_MISMATCH, header.mismatch_low,
+                                   header.mismatch_high)
+        return head + _W2.pack(header.reject_stat, header.auth_stat)
+    except struct.error:
+        raise XdrError(f"uint32 out of range in {header}") from None
 
 
 @dataclass(frozen=True)
@@ -201,8 +230,7 @@ def peek_message(data: bytes) -> tuple[int, int] | None:
     """
     if len(data) < 8:
         return None
-    xid = int.from_bytes(data[0:4], "big")
-    mtype = int.from_bytes(data[4:8], "big")
+    xid, mtype = _W2.unpack_from(data, 0)
     if mtype not in (CALL, REPLY):
         return None
     return mtype, xid
@@ -210,65 +238,46 @@ def peek_message(data: bytes) -> tuple[int, int] | None:
 
 def parse_message(data: bytes) -> ParsedMessage:
     """Parse an RPC record into its envelope + trailing body bytes."""
-    unpacker = Unpacker(data)
-    xid = unpacker.unpack_uint32()
-    mtype = unpacker.unpack_uint32()
+    try:
+        return _parse(data)
+    except struct.error:
+        raise XdrError("truncated XDR data") from None
+
+
+def _parse(data) -> ParsedMessage:
+    xid, mtype = _W2.unpack_from(data, 0)
     if mtype == CALL:
-        rpcvers = unpacker.unpack_uint32()
+        rpcvers, prog, vers, proc = _W4.unpack_from(data, 8)
         if rpcvers != RPC_VERSION:
             raise RpcMsgError(f"unsupported RPC version {rpcvers}")
-        prog = unpacker.unpack_uint32()
-        vers = unpacker.unpack_uint32()
-        proc = unpacker.unpack_uint32()
-        cred = OpaqueAuth.unpack_from(unpacker)
-        verf = OpaqueAuth.unpack_from(unpacker)
-        body = memoryview(data)[len(data) - unpacker.remaining() :]
+        cred, off = _auth_at(data, 24)
+        verf, off = _auth_at(data, off)
         return ParsedMessage(
-            CALL, CallHeader(xid, prog, vers, proc, cred, verf), None, body
+            CALL, CallHeader(xid, prog, vers, proc, cred, verf), None,
+            memoryview(data)[off:],
         )
-    if mtype == REPLY:
-        reply_stat = unpacker.unpack_uint32()
-        if reply_stat == MSG_ACCEPTED:
-            verf = OpaqueAuth.unpack_from(unpacker)
-            accept_stat = unpacker.unpack_uint32()
-            low = high = 0
-            if accept_stat == PROG_MISMATCH:
-                low = unpacker.unpack_uint32()
-                high = unpacker.unpack_uint32()
-            body = memoryview(data)[len(data) - unpacker.remaining() :]
-            return ParsedMessage(
-                REPLY,
-                None,
-                ReplyHeader(
-                    xid,
-                    MSG_ACCEPTED,
-                    accept_stat,
-                    verf=verf,
-                    mismatch_low=low,
-                    mismatch_high=high,
-                ),
-                body,
-            )
-        if reply_stat == MSG_DENIED:
-            reject_stat = unpacker.unpack_uint32()
-            low = high = auth_stat = 0
-            if reject_stat == RPC_MISMATCH:
-                low = unpacker.unpack_uint32()
-                high = unpacker.unpack_uint32()
-            else:
-                auth_stat = unpacker.unpack_uint32()
-            return ParsedMessage(
-                REPLY,
-                None,
-                ReplyHeader(
-                    xid,
-                    MSG_DENIED,
-                    reject_stat=reject_stat,
-                    auth_stat=auth_stat,
-                    mismatch_low=low,
-                    mismatch_high=high,
-                ),
-                b"",
-            )
-        raise RpcMsgError(f"bad reply_stat {reply_stat}")
-    raise RpcMsgError(f"bad message type {mtype}")
+    if mtype != REPLY:
+        raise RpcMsgError(f"bad message type {mtype}")
+    (reply_stat,) = _W1.unpack_from(data, 8)
+    if reply_stat == MSG_ACCEPTED:
+        verf, off = _auth_at(data, 12)
+        (accept_stat,) = _W1.unpack_from(data, off)
+        off += 4
+        low = high = 0
+        if accept_stat == PROG_MISMATCH:
+            low, high = _W2.unpack_from(data, off)
+            off += 8
+        reply = ReplyHeader(xid, MSG_ACCEPTED, accept_stat, verf=verf,
+                            mismatch_low=low, mismatch_high=high)
+        return ParsedMessage(REPLY, None, reply, memoryview(data)[off:])
+    if reply_stat == MSG_DENIED:
+        reject_stat, word = _W2.unpack_from(data, 12)
+        if reject_stat == RPC_MISMATCH:
+            (high,) = _W1.unpack_from(data, 20)
+            reply = ReplyHeader(xid, MSG_DENIED, reject_stat=reject_stat,
+                                mismatch_low=word, mismatch_high=high)
+        else:
+            reply = ReplyHeader(xid, MSG_DENIED, reject_stat=reject_stat,
+                                auth_stat=word)
+        return ParsedMessage(REPLY, None, reply, b"")
+    raise RpcMsgError(f"bad reply_stat {reply_stat}")

@@ -35,6 +35,11 @@ class MemFsMachine(RuleBasedStateMachine):
         self.model: dict[tuple[str, ...], bytes | None] = {(): None}
         return ()
 
+    def _is_dir(self, path: tuple[str, ...]) -> bool:
+        """Whether *path* is a directory now: a bundle entry may name a
+        directory since removed, or replaced by a file of the same name."""
+        return path in self.model and self.model[path] is None
+
     def _ino(self, path: tuple[str, ...]) -> int:
         ino = self.fs.root_ino
         for part in path:
@@ -43,7 +48,7 @@ class MemFsMachine(RuleBasedStateMachine):
 
     @rule(target=directories, parent=directories, name=_NAMES)
     def mkdir(self, parent, name):
-        if parent not in self.model:
+        if not self._is_dir(parent):
             return parent  # the bundle may hold removed directories
         path = parent + (name,)
         if path in self.model:
@@ -60,7 +65,7 @@ class MemFsMachine(RuleBasedStateMachine):
 
     @rule(parent=directories, name=_NAMES, data=_DATA)
     def write_file(self, parent, name, data):
-        if parent not in self.model:
+        if not self._is_dir(parent):
             return
         path = parent + (name,)
         if self.model.get(path, b"") is None:
@@ -72,7 +77,7 @@ class MemFsMachine(RuleBasedStateMachine):
 
     @rule(parent=directories, name=_NAMES)
     def remove(self, parent, name):
-        if parent not in self.model:
+        if not self._is_dir(parent):
             return
         path = parent + (name,)
         kind = self.model.get(path, b"missing")
@@ -83,7 +88,7 @@ class MemFsMachine(RuleBasedStateMachine):
 
     @rule(parent=directories, name=_NAMES)
     def rmdir_nonempty_or_missing_fails(self, parent, name):
-        if parent not in self.model:
+        if not self._is_dir(parent):
             return
         path = parent + (name,)
         if path not in self.model or self.model[path] is not None:

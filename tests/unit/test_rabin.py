@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.crypto import rabin
+from repro.crypto import backend, rabin
 from repro.crypto.numtheory import jacobi
 
 
@@ -138,7 +138,7 @@ _GOLDEN_DIGEST = (
 )
 
 
-def test_golden_signatures_and_decryptions():
+def _golden_digest():
     digest = hashlib.sha256()
     for bits in (512, 768, 1024):
         key = rabin.generate_key(bits, random.Random(bits))
@@ -150,7 +150,21 @@ def test_golden_signatures_and_decryptions():
             ciphertext = key.public_key.encrypt(message, rng)
             digest.update(ciphertext)
             digest.update(key.decrypt(ciphertext))
-    assert digest.hexdigest() == _GOLDEN_DIGEST
+    return digest.hexdigest()
+
+
+def test_golden_signatures_and_decryptions():
+    assert _golden_digest() == _GOLDEN_DIGEST
+
+
+def test_golden_digest_on_the_reference_lanes():
+    """The same bytes with every accelerated backend off (reference
+    SHA-1, ARC4 and XDR codec)."""
+    backend.set_fast(False)
+    try:
+        assert _golden_digest() == _GOLDEN_DIGEST
+    finally:
+        backend.set_fast(True)
 
 
 def test_serialization_roundtrip(key):

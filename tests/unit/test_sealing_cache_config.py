@@ -90,6 +90,35 @@ def test_lease_cache_disabled():
     assert cache.get(b"h") is None
 
 
+def test_lease_cache_put_sweeps_expired_entries():
+    clock = Clock()
+    cache = LeaseCache(clock, 10.0)
+    cache.put(b"old", 1)
+    cache.put(b"both", 2, key="old")
+    clock.advance(6.0)
+    cache.put(b"both", 3, key="new")
+    clock.advance(5.0)  # t=11: the t=0 entries are expired, not yet swept
+    assert cache.size() == 3
+    assert cache.get(b"old") is None and cache.misses == 1
+    cache.put(b"fresh", 4)  # first put a lease after creation sweeps
+    assert cache.size() == 2
+    assert cache.get(b"old") is None and cache.misses == 2
+    assert cache.get(b"both", "old") is None and cache.misses == 3
+    assert cache.get(b"both", "new") == 3
+    # A fully expired handle is gone; invalidating it counts nothing.
+    cache.invalidate(b"old")
+    assert cache.invalidations == 0
+    # At most one sweep per lease: the t=6 entry expires at t=16 but
+    # stays until the next sweep, due at t=21.
+    clock.advance(6.0)
+    cache.put(b"fresh", 5)
+    assert cache.size() == 2
+    clock.advance(4.0)
+    cache.put(b"fresh", 6)
+    assert cache.size() == 1
+    assert cache.get(b"fresh") == 6 and cache.hits == 2
+
+
 def test_client_caches_aggregate():
     clock = Clock()
     caches = ClientCaches.create(clock, 10.0)

@@ -1,15 +1,15 @@
 """Golden wire vectors: the fast lane never changes a protocol byte.
 
-The wire-path optimizations (block ARC4 kernels, flat NFS3 marshals, the
-single-buffer channel seal) are sound only if they are bit-identical to
-the reference implementations — that is the invariant
+The wire-path optimizations (block ARC4 kernels, the compiled XDR lane and
+flat RPC envelope, the single-buffer channel seal) are sound only if they
+are bit-identical to the reference implementations — that is the invariant
 :mod:`repro.crypto.backend` documents and docs/PERFORMANCE.md leans on.
 This suite pins it three ways:
 
-* **Golden digests** — seeded channel transcripts and the hot NFS3
-  encodings must match constants frozen from the reference path, so a
-  regression against *history* is caught even if both paths drift
-  together.
+* **Golden digests** — seeded channel transcripts, the hot NFS3
+  encodings and the RPC envelopes must match constants frozen from the
+  reference path, so a regression against *history* is caught even if
+  both paths drift together.
 * **Cross-path equality** — every vector is produced under
   ``set_fast(True)`` and ``set_fast(False)`` and compared bit for bit,
   with the marshal counters checked to prove the fast path actually ran.
@@ -30,7 +30,17 @@ from repro.core.channel import SecureChannel
 from repro.crypto import arc4kernel, backend
 from repro.crypto.arc4 import ARC4
 from repro.nfs3 import const, types
-from repro.rpc import xdr
+from repro.rpc import rpcmsg, xdr
+from repro.rpc.rpcmsg import (
+    AuthSys,
+    CallHeader,
+    OpaqueAuth,
+    ReplyHeader,
+    RpcMsgError,
+    pack_call,
+    pack_reply,
+    parse_message,
+)
 from repro.rpc.xdr import Record, XdrError
 
 K_CS = bytes(range(1, 21))
@@ -138,6 +148,74 @@ GOLDEN_NFS3 = {
         "a6d24f3cb51cba89b44db0a166a0a3a560fd5ce430d986512cc51b299cd3311a",
     "write_res_fail":
         "fa236c53c3c620a6d7a96ab6389430820cdbc0b22e73932bd36d3b5bc86df6c6",
+}
+
+
+_ARGS = bytes((i * 11 + 7) & 0xFF for i in range(37))
+
+
+def _authsys(groups):
+    return AuthSys(stamp=0x5F5E100, machinename="client.sfs.test",
+                   uid=1000, gid=100, gids=tuple(range(200, 200 + groups)))
+
+
+def envelope_vectors():
+    """(name, header, body) for each RPC envelope shape SFS sends."""
+    call = dict(xid=0x01020304, prog=100003, vers=3, proc=6)
+    return [
+        ("call_auth_none", CallHeader(**call), _ARGS),
+        ("call_auth_sys_0", CallHeader(cred=_authsys(0).to_auth(), **call),
+         _ARGS),
+        ("call_auth_sys_2", CallHeader(cred=_authsys(2).to_auth(), **call),
+         _ARGS),
+        ("call_auth_sys_20", CallHeader(cred=_authsys(20).to_auth(), **call),
+         b""),
+        ("reply_success", ReplyHeader(xid=0xA0B0C0D0), _ARGS),
+        ("reply_prog_mismatch",
+         ReplyHeader(xid=17, accept_stat=rpcmsg.PROG_MISMATCH,
+                     mismatch_low=2, mismatch_high=4), b""),
+        ("reply_garbage_args",
+         ReplyHeader(xid=18, accept_stat=rpcmsg.GARBAGE_ARGS), b""),
+        ("reply_server_busy",
+         ReplyHeader(xid=19, accept_stat=rpcmsg.SERVER_BUSY), b""),
+        ("reply_denied_rpc_mismatch",
+         ReplyHeader(xid=20, reply_stat=rpcmsg.MSG_DENIED,
+                     reject_stat=rpcmsg.RPC_MISMATCH,
+                     mismatch_low=2, mismatch_high=2), b""),
+        ("reply_denied_auth_error",
+         ReplyHeader(xid=21, reply_stat=rpcmsg.MSG_DENIED,
+                     reject_stat=rpcmsg.AUTH_ERROR, auth_stat=5), b""),
+    ]
+
+
+def _pack_envelope(header, body):
+    if isinstance(header, CallHeader):
+        return pack_call(header, body)
+    return pack_reply(header, body)
+
+
+#: sha256 of each packed envelope, frozen from the field-by-field packer.
+GOLDEN_ENVELOPES = {
+    "call_auth_none":
+        "91f8f8c43568921e034aa385b39a9dab58e15f73d6b34975f1046f439d12b4d9",
+    "call_auth_sys_0":
+        "6c1d3552bf429c7cfde9d827f7e4c94ae6546ae27640a743bfbdcdfa08d76eb5",
+    "call_auth_sys_2":
+        "60b768f8019b3037f41b9d02922b7ccbca782d026222c0c4f038bc693875690e",
+    "call_auth_sys_20":
+        "47504f2eb38969038ef6f2636ae1d9ccd7b6b87638d2b683a02983eeedcad0a5",
+    "reply_success":
+        "b44b48a3607026c481397e4e32ad93dc1756b222509d495bbfc69f634ad02347",
+    "reply_prog_mismatch":
+        "4fed11abdc3a79a2bf8631d084cd1a858df9de53a8cbefaa0a587793a72c4206",
+    "reply_garbage_args":
+        "747111ebdf467c917b59c540f4f724dee9e8f3183066ad124389627bee294246",
+    "reply_server_busy":
+        "6d27f69142824183a0d917125772293f66ed0e1b3cfaf027336aa2bb285e86d8",
+    "reply_denied_rpc_mismatch":
+        "4542a97062762b5718b2a53ad153d5ccf5a3685733ca006ceb3025a1df3a73bd",
+    "reply_denied_auth_error":
+        "a20d2919786416d0e98b0213d25abcacec64cba7584045e06c88f9de9ab588bd",
 }
 
 
@@ -319,6 +397,105 @@ def test_truncated_record_rejected(fast):
 
 
 # ---------------------------------------------------------------------------
+# RPC envelopes
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("fast", [True, False])
+def test_envelopes_match_golden(fast):
+    backend.set_fast(fast)
+    for name, header, body in envelope_vectors():
+        record = _pack_envelope(header, body)
+        assert hashlib.sha256(record).hexdigest() == GOLDEN_ENVELOPES[name], \
+            name
+
+
+@pytest.mark.parametrize("fast", [True, False])
+def test_envelopes_parse_back(fast):
+    backend.set_fast(fast)
+    for name, header, body in envelope_vectors():
+        parsed = parse_message(_pack_envelope(header, body))
+        assert bytes(parsed.body) == body, name
+        if isinstance(header, CallHeader):
+            assert parsed.mtype == rpcmsg.CALL and parsed.reply is None
+            assert parsed.call == header, name
+        else:
+            assert parsed.mtype == rpcmsg.REPLY and parsed.call is None
+            assert parsed.reply == header, name
+
+
+@pytest.mark.parametrize("fast", [True, False])
+@pytest.mark.parametrize("groups", [0, 2, 16, 20])
+def test_authsys_credentials_round_trip(fast, groups):
+    backend.set_fast(fast)
+    cred = _authsys(groups)
+    header = CallHeader(xid=1, prog=2, vers=3, proc=4, cred=cred.to_auth())
+    decoded = AuthSys.from_auth(parse_message(pack_call(header, b"")).call.cred)
+    assert decoded == AuthSys(cred.stamp, cred.machinename, cred.uid,
+                              cred.gid, cred.gids[:16])
+
+
+@pytest.mark.parametrize("fast", [True, False])
+def test_envelope_bad_rpc_version_rejected(fast):
+    backend.set_fast(fast)
+    raw = bytearray(pack_call(CallHeader(xid=1, prog=2, vers=3, proc=4), b""))
+    raw[11] = 3  # rpcvers
+    with pytest.raises(RpcMsgError):
+        parse_message(bytes(raw))
+
+
+@pytest.mark.parametrize("fast", [True, False])
+def test_envelope_nonzero_auth_padding_rejected(fast):
+    backend.set_fast(fast)
+    cred = OpaqueAuth(rpcmsg.AUTH_SYS, b"abc")  # one pad byte
+    raw = bytearray(pack_call(CallHeader(xid=1, prog=2, vers=3, proc=4,
+                                         cred=cred), b""))
+    pad_at = 24 + 8 + 3  # fixed words, flavor + length, body
+    assert raw[pad_at] == 0
+    raw[pad_at] = 0x80
+    with pytest.raises(XdrError):
+        parse_message(bytes(raw))
+
+
+@pytest.mark.parametrize("fast", [True, False])
+def test_envelope_oversized_auth_body_rejected(fast):
+    backend.set_fast(fast)
+    too_big = OpaqueAuth(rpcmsg.AUTH_SYS, bytes(401))
+    with pytest.raises(XdrError):
+        pack_call(CallHeader(xid=1, prog=2, vers=3, proc=4, cred=too_big),
+                  b"")
+    with pytest.raises(XdrError):
+        pack_reply(ReplyHeader(xid=1, verf=too_big))
+    words = (1, rpcmsg.CALL, 2, 2, 3, 4, rpcmsg.AUTH_SYS, 401)
+    raw = b"".join(w.to_bytes(4, "big") for w in words) + bytes(404)
+    with pytest.raises(XdrError):
+        parse_message(raw + bytes(8))
+    # 400 bytes is the limit, not past it.
+    limit = OpaqueAuth(rpcmsg.AUTH_SYS, bytes(400))
+    header = CallHeader(xid=1, prog=2, vers=3, proc=4, cred=limit)
+    assert parse_message(pack_call(header, b"")).call == header
+
+
+@pytest.mark.parametrize("fast", [True, False])
+def test_truncated_envelopes_rejected(fast):
+    backend.set_fast(fast)
+    for name, header, body in envelope_vectors():
+        record = _pack_envelope(header, b"")
+        for cut in range(len(record)):
+            with pytest.raises(XdrError):
+                parse_message(record[:cut])
+
+
+@pytest.mark.parametrize("fast", [True, False])
+def test_bad_message_and_reply_types_rejected(fast):
+    backend.set_fast(fast)
+    with pytest.raises(RpcMsgError):
+        parse_message((1).to_bytes(4, "big") + (5).to_bytes(4, "big"))
+    words = (1, rpcmsg.REPLY, 2)  # reply_stat 2 is neither branch
+    with pytest.raises(RpcMsgError):
+        parse_message(b"".join(w.to_bytes(4, "big") for w in words))
+
+
+# ---------------------------------------------------------------------------
 # ARC4 kernels
 # ---------------------------------------------------------------------------
 
@@ -393,6 +570,11 @@ def _regenerate():
     print("GOLDEN_NFS3 = {")
     for name, codec, value in nfs3_vectors():
         digest = hashlib.sha256(codec.pack(value)).hexdigest()
+        print(f'    "{name}":\n        "{digest}",')
+    print("}")
+    print("GOLDEN_ENVELOPES = {")
+    for name, header, body in envelope_vectors():
+        digest = hashlib.sha256(_pack_envelope(header, body)).hexdigest()
         print(f'    "{name}":\n        "{digest}",')
     print("}")
 
