@@ -3,8 +3,8 @@
 Three questions, three phases, all in simulated time (deterministic per
 seed):
 
-* **Storm sweep** — Poisson login arrivals (reusing the open-loop
-  arrival model of :mod:`repro.load.harness`) against the sharded auth
+* **Storm sweep** — Poisson login arrivals (the load driver's
+  :func:`~repro.load.harness.poisson_arrivals`) against the sharded auth
   fleet at a 10^5-user table: does adding authserver shards raise
   aggregate login throughput when the arrival rate exceeds one shard's
   admission capacity?  The shards sit behind the standard
@@ -29,18 +29,17 @@ the users actually logging in carry real keys.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass, field
 
-from ..core import proto, sfskey
+from ..core import sfskey
 from ..core.agent import Agent
 from ..core.authserv import PrivateRecord
 from ..core.client import ServerSession
-from ..core.keyneg import EphemeralKeyCache
 from ..kernel.world import World
+from ..load.harness import Dialer, poisson_arrivals
+from ..obs import nearest_rank
 from ..rpc.peer import RetryPolicy, RpcBusy, RpcError
-from ..sim.sched import Sleep
 
 #: Modeled client CPU per eksblowfish expansion (seconds of virtual
 #: time); a login at cost c is charged ``HARDEN_UNIT * 2**c``.  The
@@ -93,9 +92,9 @@ class AuthStormReport:
         self.duration = duration
         self.throughput = self.logins_ok / duration if duration > 0 else 0.0
         ordered = sorted(self.latencies)
-        self.p50 = _percentile(ordered, 0.50)
-        self.p95 = _percentile(ordered, 0.95)
-        self.p99 = _percentile(ordered, 0.99)
+        self.p50 = nearest_rank(ordered, 0.50)
+        self.p95 = nearest_rank(ordered, 0.95)
+        self.p99 = nearest_rank(ordered, 0.99)
         self.cache_hits = metrics.counter("auth.cache.hits").value
         self.cache_misses = metrics.counter("auth.cache.misses").value
         self.queue_rejected = metrics.counter("server.queue.rejected").value
@@ -115,12 +114,6 @@ class AuthStormReport:
             "cache_misses": self.cache_misses,
             "queue_rejected": self.queue_rejected,
         }
-
-
-def _percentile(ordered: list[float], q: float) -> float:
-    if not ordered:
-        return 0.0
-    return ordered[max(1, math.ceil(q * len(ordered))) - 1]
 
 
 class AuthHarness:
@@ -144,24 +137,19 @@ class AuthHarness:
                     max_depth=config.max_depth, workers=config.workers,
                     service_time=config.service_time,
                 )
-        shared_keys = EphemeralKeyCache(self.world.rng)
+        # Queue waits under a storm dwarf the default 2 ms retransmit
+        # timer; a spurious retransmit escalates to channel recovery
+        # (rekey), which would invalidate every in-flight login's
+        # AuthID.  Give storm sessions a timer above queue-wait scale.
+        dial = Dialer(self.world, RetryPolicy(base_delay=0.25),
+                      encrypt=config.encrypt)
         #: (session, agent) per login account, dialed to the account's
         #: owning shard — login storms reuse these (the steady state a
         #: decision cache exists for).
         self.sessions: list[tuple[ServerSession, Agent]] = []
         for account in self.accounts:
             shard = self.fleet.shard_for(account.name)
-            link = self.world.connector(shard.location,
-                                        proto.SERVICE_FILESERVER)
-            session = ServerSession.connect(
-                link, shard.path, shared_keys, self.world.rng,
-                encrypt=config.encrypt,
-            )
-            # Queue waits under a storm dwarf the default 2 ms retransmit
-            # timer; a spurious retransmit escalates to channel recovery
-            # (rekey), which would invalidate every in-flight login's
-            # AuthID.  Give storm sessions a timer above queue-wait scale.
-            session.peer.retry_policy = RetryPolicy(base_delay=0.25)
+            session = dial(shard.location, shard.path)
             agent = Agent(account.name, self.world.rng)
             agent.add_key(account.key)
             self.sessions.append((session, agent))
@@ -174,7 +162,8 @@ class AuthHarness:
                                  arrival_rate=config.arrival_rate)
         rng = random.Random(config.seed ^ 0x517A7E)
 
-        def login_once(session: ServerSession, agent: Agent):
+        def login_once(index: int):
+            session, agent = self.sessions[index % len(self.sessions)]
             begin = clock.now
             try:
                 authno = yield from session.login_task(agent)
@@ -190,19 +179,13 @@ class AuthHarness:
             else:
                 report.denied += 1
 
-        def arrivals():
-            deadline = clock.now + config.duration
-            index = 0
-            while clock.now < deadline:
-                yield Sleep(rng.expovariate(config.arrival_rate))
-                session, agent = self.sessions[index % len(self.sessions)]
-                self.scheduler.spawn(login_once(session, agent),
-                                     name=f"login-{index}")
-                index += 1
-            report.offered = index
+        def storm():
+            report.offered = yield from poisson_arrivals(
+                self.scheduler, rng, config.arrival_rate, config.duration,
+                login_once, "login")
 
         start = clock.now
-        self.scheduler.spawn(arrivals(), name="auth-arrivals")
+        self.scheduler.spawn(storm(), name="auth-arrivals")
         blocked = self.scheduler.run()
         report.unfinished_tasks = len(blocked)
         report.finish(clock.now - start, self.world.metrics)

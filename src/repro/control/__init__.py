@@ -15,7 +15,8 @@ the star-topology single enforcement point over those silos:
 * :mod:`plane` — the ControlPlane wiring all three into one daemon
   task per World (``World.enable_control()``);
 * :mod:`bench` — the ``bench control`` figure: a hot-shard fleet with
-  and without the loop closed.
+  and without the loop closed, on the fleet topology and the shared
+  load driver (:class:`~repro.load.harness.LoadDriver`).
 
 Nothing here adds trust: the control plane reads metrics and tunes
 *availability* policy — admission bounds, replica preference, offered

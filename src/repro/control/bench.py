@@ -25,25 +25,21 @@ must beat the unmanaged one on *both* fleet p99 and busy-rejects.  The
 figure also emits the fleet-level artifact — per-source and merged
 snapshots, SLO breach events, and the policy action log — which CI
 uploads from the control-smoke job.
+
+This module builds only what is particular to the figure: the hot
+shard, the client-to-name pinning, the SLOs and the actuators.  The
+fleet topology comes from :mod:`repro.fleet.bench`, and the clients run
+on the shared load driver (:class:`~repro.load.harness.LoadDriver`).
 """
 
 from __future__ import annotations
 
-import math
-import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from ..core import proto
-from ..core.client import ServerSession
-from ..core.keyneg import EphemeralKeyCache
-from ..fs import pathops
-from ..fs.memfs import Cred
+from ..fleet.bench import dial_shard_clients, provision_data_names
 from ..kernel.world import World
-from ..load.workload import DEFAULT_MIX, FILE_SIZE, OpMix, OpStream
-from ..nfs3 import const as nfs_const
-from ..nfs3 import types as nfs_types
-from ..rpc.peer import RetryPolicy, RpcError
-from ..sim.sched import Sleep
+from ..load.harness import LoadDriver, LoadReport, ShardReport
+from ..load.workload import DEFAULT_MIX, OpMix
 from .policy import AimdAdmission, LoadShedder
 from .slo import SloSpec
 
@@ -84,90 +80,53 @@ class ControlBenchConfig:
 
 
 @dataclass
-class ShardOutcome:
+class ShardOutcome(ShardReport):
     """One shard's slice of a run, from its per-source registry."""
 
-    location: str
     hot: bool = False
-    names: int = 0
-    clients: int = 0
-    ops_completed: int = 0
-    p99: float = 0.0
     busy_rejects: int = 0
-    peak_queue_depth: int = 0
     final_max_depth: int = 0
-    latencies: list[float] = field(default_factory=list, repr=False)
-
-    def finish(self) -> None:
-        self.ops_completed = len(self.latencies)
-        if self.latencies:
-            self.p99 = _percentile(sorted(self.latencies), 0.99)
 
 
 @dataclass
-class ControlReport:
+class ControlReport(LoadReport):
     """One run's outcome, all figures in simulated seconds."""
 
-    controlled: bool
-    clients: int
-    servers: int
+    controlled: bool = False
+    servers: int = 0
     hot_shard: str = ""
-    ops_completed: int = 0
-    op_errors: int = 0
-    busy_rejects: int = 0
-    busy_retries: int = 0
-    duration: float = 0.0
-    throughput: float = 0.0
-    p50: float = 0.0
-    p95: float = 0.0
-    p99: float = 0.0
-    unfinished_tasks: int = 0
     final_think_scale: float = 1.0
     policy_actions: int = 0
     slo_events: int = 0
-    shards: list[ShardOutcome] = field(default_factory=list)
-    latencies: list[float] = field(default_factory=list, repr=False)
 
-    def finish(self, duration: float) -> None:
-        self.duration = duration
-        self.ops_completed = len(self.latencies)
-        if duration > 0:
-            self.throughput = self.ops_completed / duration
-        if self.latencies:
-            ordered = sorted(self.latencies)
-            self.p50 = _percentile(ordered, 0.50)
-            self.p95 = _percentile(ordered, 0.95)
-            self.p99 = _percentile(ordered, 0.99)
-        for shard in self.shards:
-            shard.finish()
+    @property
+    def busy_rejects(self) -> int:
+        """Fleet-wide SERVER_BUSY rejections."""
+        return self.admission_rejects
 
 
-def _percentile(ordered: list[float], q: float) -> float:
-    rank = max(1, math.ceil(q * len(ordered)))
-    return ordered[rank - 1]
-
-
-class ControlHarness:
+class ControlHarness(LoadDriver):
     """One hot-shard world; ``controlled`` decides if the loop closes."""
 
     def __init__(self, config: ControlBenchConfig,
                  controlled: bool) -> None:
-        self.config = config
+        world = World(seed=config.seed)
+        metrics = world.metrics
+        super().__init__(
+            config, world, world.enable_concurrency(seed=config.seed),
+            "control", op_seconds=metrics.histogram("load.op_seconds"),
+            shed=metrics.gauge("load.think_scale"),
+        )
         self.controlled = controlled
-        self.world = World(seed=config.seed)
-        self.scheduler = self.world.enable_concurrency(seed=config.seed)
-        self.world.enable_contention()
+        world.enable_contention()
         # Control first: machines built afterwards get per-source tee
         # registries, which is what makes scope="sources" SLOs real.
-        self.plane = self.world.enable_control(
+        self.plane = world.enable_control(
             period=config.period,
             ring_size=max(64, 4 * config.slo_window),
         )
-        self.fleet = self.world.add_fleet(config.servers)
-        self.names = [f"proj{index:02d}" for index in range(config.names)]
-        for name in self.names:
-            self.fleet.provision(name)
-            self._seed_file(name)
+        self.fleet = world.add_fleet(config.servers)
+        self.names = list(provision_data_names(self.fleet, config.names))
         self.hot_shard = self._pick_hot_shard()
         self.queues = {
             shard.location: shard.server.enable_queueing(
@@ -178,37 +137,16 @@ class ControlHarness:
             )
             for shard in self.fleet.shards
         }
-        self._outcomes = {
-            shard.location: ShardOutcome(
-                location=shard.location,
-                hot=(shard.location == self.hot_shard),
-            )
-            for shard in self.fleet.shards
-        }
-        for location in self.fleet.assignments.values():
-            self._outcomes[location].names += 1
-        #: Load-shedding hook, same contract as LoadHarness.
-        self.think_scale = 1.0
-        self._g_shed = self.world.metrics.gauge("load.think_scale")
-        self._g_shed.set(1.0)
-        self._m_op_seconds = self.world.metrics.histogram("load.op_seconds")
         self._declare_slos()
         if controlled:
             self._attach_actuators()
-        self._clients: list[tuple[ServerSession, ShardOutcome, bytes]] = []
-        self._connect_clients()
+        self._outcomes = dial_shard_clients(
+            self, self.fleet, self._client_names(),
+            lambda location: ShardOutcome(
+                location, hot=(location == self.hot_shard)),
+        )
 
     # -- setup -------------------------------------------------------------
-
-    def _seed_file(self, name: str) -> None:
-        shard = self.fleet.shard_for(name)
-        fs = shard.fs
-        owner = Cred(uid=0, gid=0)
-        directory = pathops.resolve(fs, "/" + name)
-        content = bytes(range(256)) * (FILE_SIZE // 256)
-        inode = fs.create(directory.ino, "data", owner, mode=0o666)
-        fs.write(inode.ino, 0, content, owner)
-        fs.commit(inode.ino)
 
     def _pick_hot_shard(self) -> str:
         """The shard owning the most names heats up (ties: first by
@@ -269,103 +207,17 @@ class ControlHarness:
                 assigned.append(cold_names[index % len(cold_names)])
         return assigned
 
-    def _connect_clients(self) -> None:
+    # -- the run -----------------------------------------------------------
+
+    def _new_report(self) -> ControlReport:
         config = self.config
-        shared_keys = EphemeralKeyCache(self.world.rng)
-        handles: dict[str, bytes] = {}
-        for index, name in enumerate(self._client_names()):
-            shard = self.fleet.shard_for(name)
-            link = self.world.connector(shard.location,
-                                        proto.SERVICE_FILESERVER)
-            outcome = ServerSession.connect(
-                link, shard.path, shared_keys, self.world.rng,
-                encrypt=config.encrypt,
-            )
-            assert isinstance(outcome, ServerSession)
-            outcome.peer.retry_policy = RetryPolicy(
-                base_delay=config.rpc_timeout, multiplier=2.0,
-                max_delay=4.0 * config.rpc_timeout,
-            )
-            if name not in handles:
-                handles[name] = self._lookup_data(outcome, name)
-            report = self._outcomes[shard.location]
-            report.clients += 1
-            self._clients.append((outcome, report, handles[name]))
-
-    def _lookup_data(self, session: ServerSession, name: str) -> bytes:
-        def lookup(dir_handle: bytes, entry: str) -> bytes:
-            status, body = session.call_nfs(
-                nfs_const.NFSPROC3_LOOKUP,
-                nfs_types.LookupArgs.make(
-                    what=nfs_types.DirOpArgs.make(dir=dir_handle,
-                                                  name=entry)
-                ),
-                authno=0,
-            )
-            assert status == nfs_const.NFS3_OK, f"lookup({entry}): {status}"
-            return body.object
-
-        root = lookup(bytes(24), ".")  # the RW dialect's mount convention
-        return lookup(lookup(root, name), "data")
-
-    # -- the shedding hook -------------------------------------------------
-
-    def set_think_scale(self, scale: float) -> float:
-        """LoadShedder target; see LoadHarness.set_think_scale."""
-        self.think_scale = max(1.0, float(scale))
-        self._g_shed.set(self.think_scale)
-        return self.think_scale
-
-    # -- the closed loop ---------------------------------------------------
-
-    def _run_op(self, session: ServerSession, stream: OpStream,
-                report: ControlReport, shard: ShardOutcome):
-        proc, args = stream.next_op()
-        clock = self.world.clock
-        start = clock.now
-        try:
-            status, _body = yield from session.call_nfs_task(proc, args, 0)
-        except RpcError:
-            report.op_errors += 1
-            return
-        if status != nfs_const.NFS3_OK:
-            report.op_errors += 1
-            return
-        latency = clock.now - start
-        report.latencies.append(latency)
-        shard.latencies.append(latency)
-        self._m_op_seconds.observe(latency)
-
-    def _client(self, index: int, report: ControlReport):
-        config = self.config
-        session, shard, handle = self._clients[index]
-        stream = OpStream([handle], config.mix, config.io_size,
-                          seed=(config.seed << 8) ^ index)
-        think_rng = random.Random((config.seed << 16) ^ index)
-        for _op in range(config.ops_per_client):
-            if config.think_time > 0:
-                yield Sleep(think_rng.expovariate(1.0 / config.think_time)
-                            * self.think_scale)
-            yield from self._run_op(session, stream, report, shard)
-
-    def run(self) -> ControlReport:
-        config = self.config
-        report = ControlReport(controlled=self.controlled,
-                               clients=config.clients,
-                               servers=config.servers,
-                               hot_shard=self.hot_shard)
-        report.shards = [self._outcomes[shard.location]
-                         for shard in self.fleet.shards]
-        start = self.world.clock.now
-        for index in range(config.clients):
-            self.scheduler.spawn(self._client(index, report),
-                                 name=f"control-client-{index}")
-        blocked = self.scheduler.run()
-        report.unfinished_tasks = len(blocked)
-        report.op_errors += sum(
-            1 for task in self.scheduler.tasks
-            if task.failed and not task.daemon
+        return ControlReport(
+            controlled=self.controlled, clients=config.clients,
+            servers=config.servers, hot_shard=self.hot_shard,
+            shards=list(self._outcomes.values()),
         )
+
+    def _collect(self, report: ControlReport) -> None:
         for shard in self.fleet.shards:
             outcome = self._outcomes[shard.location]
             queue = self.queues[shard.location]
@@ -375,15 +227,11 @@ class ControlHarness:
             # the tee makes this split possible at all.
             outcome.busy_rejects = shard.server.registry.counter(
                 "server.queue.rejected").value
-        report.busy_rejects = self.world.metrics.counter(
-            "server.queue.rejected").value
-        report.busy_retries = sum(s.busy_retries
-                                  for s, _r, _h in self._clients)
         report.final_think_scale = self.think_scale
         report.policy_actions = len(self.plane.policy.actions)
         report.slo_events = len(self.plane.slos.events)
-        report.finish(self.world.clock.now - start)
-        return report
+
+    run = LoadDriver.run_closed_loop
 
 
 def run_control_comparison(config: ControlBenchConfig

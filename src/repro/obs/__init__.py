@@ -35,6 +35,7 @@ from .registry import (
     NULL_REGISTRY,
     NullRegistry,
     ScopedRegistry,
+    nearest_rank,
 )
 from .trace import LayerTracker, NullLayerTracker, Span, Tracer
 
@@ -52,4 +53,5 @@ __all__ = [
     "ScopedRegistry",
     "Span",
     "Tracer",
+    "nearest_rank",
 ]

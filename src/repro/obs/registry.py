@@ -19,6 +19,7 @@ instrumented code needs no ``if metrics:`` guards on the hot path.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from typing import Any, Iterable
 
@@ -27,6 +28,17 @@ from .trace import LayerTracker, NullLayerTracker
 #: Fixed exponential histogram buckets: 1 µs to ~17 minutes in steps of
 #: 4x.  Fixed so histograms from any two runs are bucket-compatible.
 DEFAULT_BUCKETS: tuple[float, ...] = tuple(4**i * 1e-6 for i in range(16))
+
+
+def nearest_rank(ordered: list[float], q: float) -> float:
+    """Exact nearest-rank *q*-quantile of pre-sorted values (0.0 if none).
+
+    The exact counterpart of :meth:`Histogram.quantile`: reports keep
+    raw simulated latencies and read their p50/p95/p99 with this.
+    """
+    if not ordered:
+        return 0.0
+    return ordered[max(1, math.ceil(q * len(ordered))) - 1]
 
 
 class Counter:

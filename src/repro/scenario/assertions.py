@@ -53,11 +53,8 @@ class CheckHandler:
 def _chk_drain(rt, params: dict) -> list[str]:
     failures = [f"hung task {task.name!r} never finished"
                 for task in rt.blocked]
-    failures.extend(
-        f"task {task.name!r} died: {task.exception!r}"
-        for task in rt.scheduler.tasks
-        if task.failed and not task.daemon
-    )
+    failures.extend(f"task {task.name!r} died: {task.exception!r}"
+                    for task in rt.scheduler.failed)
     return failures
 
 

@@ -36,9 +36,16 @@ import json
 import os
 from dataclasses import dataclass, field
 
-from ..fs.memfs import Cred
 from ..kernel.world import ClientMachine, ServerMachine, World
-from ..load.harness import LoadConfig, LoadHarness, LoadReport, WorkloadPhase
+from ..load.harness import (
+    Dialer,
+    LoadConfig,
+    LoadHarness,
+    LoadReport,
+    WorkloadPhase,
+    lookup_path,
+    seed_world_readable,
+)
 from ..nfs3 import const as nfs_const
 from ..nfs3 import types as nfs_types
 from ..obs.export import registry_snapshot
@@ -197,7 +204,7 @@ class _Runtime:
         for index in range(topology.extra_servers):
             machine = self.world.add_server(f"x{index}.cert.test")
             machine.export_fs()
-            self._seed_world_readable(machine, "victim", b"certified data")
+            seed_world_readable(machine.fs, "/victim", b"certified data")
             self.aliases[f"x{index}"] = machine
             self.extra_servers.append(machine)
         self._build_fleet()
@@ -232,14 +239,6 @@ class _Runtime:
                 self.count("scenario.crashes")
 
             injector.on_crash = on_crash
-
-    def _seed_world_readable(self, machine: ServerMachine, name: str,
-                             content: bytes) -> None:
-        fs = machine.fs
-        owner = Cred(uid=0, gid=0)
-        inode = fs.create(fs.root_ino, name, owner, mode=0o666)
-        fs.write(inode.ino, 0, content, owner)
-        fs.commit(inode.ino)
 
     def _build_fleet(self) -> None:
         topology = self.spec.topology
@@ -278,31 +277,23 @@ class _Runtime:
         count = self.spec.topology.login_users
         if not count:
             return
-        from ..core import proto
         from ..core.agent import Agent
-        from ..core.client import ServerSession
-        from ..core.keyneg import EphemeralKeyCache
         from ..crypto.rabin import generate_key
         from ..rpc.peer import RetryPolicy
 
         primary = self.load_servers[0]
         authserver = primary.exports["default"][2]
-        shared_keys = EphemeralKeyCache(self.world.rng)
+        # Storm-queue waits dwarf the default retransmit timer, and a
+        # spurious retransmit escalates to a channel rekey that would
+        # invalidate in-flight signed AuthIDs (see repro.auth.bench).
+        dial = Dialer(self.world, RetryPolicy(base_delay=0.25),
+                      encrypt=self.spec.workload.encrypt)
         for index in range(count):
             name = f"auth{index}"
             key = generate_key(768, self.world.rng)
             authserver.add_account(name, 2000 + index, 100,
                                    public_key_bytes=key.public_key.to_bytes())
-            link = self.world.connector(primary.location,
-                                        proto.SERVICE_FILESERVER)
-            session = ServerSession.connect(
-                link, primary.path, shared_keys, self.world.rng,
-                encrypt=self.spec.workload.encrypt,
-            )
-            # Storm-queue waits dwarf the default retransmit timer, and a
-            # spurious retransmit escalates to a channel rekey that would
-            # invalidate in-flight signed AuthIDs (see repro.auth.bench).
-            session.peer.retry_policy = RetryPolicy(base_delay=0.25)
+            session = dial(primary.location, primary.path)
             agent = Agent(name, self.world.rng)
             agent.add_key(key)
             self.login_accounts.append(name)
@@ -329,8 +320,8 @@ class _Runtime:
             failover=workload.failover,
         )
         for machine in self.load_servers:
-            self._seed_world_readable(machine, MARKER_NAME,
-                                      self.marker_content)
+            seed_world_readable(machine.fs, f"/{MARKER_NAME}",
+                                self.marker_content)
             harness = LoadHarness(config, world=self.world, server=machine)
             self._wire_handle_refresh(harness)
             self.harnesses.append(harness)
@@ -342,36 +333,18 @@ class _Runtime:
         so the in-place mutation reaches every client immediately; the
         one op already built with a stale handle is the scenario's
         bounded casualty."""
+        def refresh(session) -> None:
+            harness.handles[:] = harness.resolve_handles(session)
+            self.count("scenario.handle_refreshes")
+
         for session in harness.sessions:
             session.on_retarget = (
-                lambda old, new, _h=harness, _s=session:
-                self._refresh_handles(_h, _s)
-            )
-
-    def _refresh_handles(self, harness: LoadHarness, session) -> None:
-        root = self._lookup(session, bytes(24), ".")
-        fresh = [self._lookup(session, root, f"load{index}")
-                 for index in range(harness.config.file_count)]
-        harness.handles[:] = fresh
-        self.count("scenario.handle_refreshes")
-
-    def _lookup(self, session, dir_handle: bytes, name: str) -> bytes:
-        status, body = session.call_nfs(
-            nfs_const.NFSPROC3_LOOKUP,
-            nfs_types.LookupArgs.make(
-                what=nfs_types.DirOpArgs.make(dir=dir_handle, name=name)
-            ),
-            authno=0,
-        )
-        if status != nfs_const.NFS3_OK:
-            raise RuntimeError(f"lookup({name}) failed: status {status}")
-        return body.object
+                lambda old, new, _s=session: refresh(_s))
 
     def read_marker(self, harness: LoadHarness) -> bytes:
         """Re-read the integrity marker through the protocol."""
         session = harness.sessions[0]
-        root = self._lookup(session, bytes(24), ".")
-        handle = self._lookup(session, root, MARKER_NAME)
+        handle = lookup_path(session, MARKER_NAME)
         status, body = session.call_nfs(
             nfs_const.NFSPROC3_READ,
             nfs_types.ReadArgs.make(file=handle, offset=0,

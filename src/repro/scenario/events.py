@@ -24,10 +24,10 @@ from typing import Callable
 
 from ..keymgmt.rollover import fan_out_revocations, revoke_export, \
     rollover_export
+from ..load.harness import poisson_arrivals
 from ..load.workload import OpMix, OpStream
 from ..rpc.peer import RpcBusy, RpcError
 from ..sim.network import ChaosAdversary, NetworkParameters
-from ..sim.sched import Sleep
 
 
 @dataclass(frozen=True)
@@ -147,7 +147,7 @@ def _ev_lease_storm(rt, params: dict) -> None:
     harness = rt.harness_for(params.get("server", "primary"))
     writes = int(params.get("writes", 16))
     io_size = int(params.get("io_size", 4096))
-    session = harness.sessions[0]
+    slot = harness.slots[0]
     stream = OpStream(
         harness.handles, OpMix(getattr_weight=0.0, read_weight=0.0,
                                write_weight=1.0),
@@ -156,7 +156,7 @@ def _ev_lease_storm(rt, params: dict) -> None:
 
     def burst():
         for _write in range(writes):
-            yield from harness._run_op(session, stream, rt.storm_report)
+            yield from harness._run_op(slot, stream, rt.storm_report)
 
     rt.scheduler.spawn(burst(), name=f"lease-storm-{harness.location}")
     rt.count("scenario.lease_storm_writes", writes)
@@ -196,20 +196,18 @@ def _ev_login_storm(rt, params: dict) -> None:
         rt.count("scenario.logins_ok" if authno > 0
                  else "scenario.logins_denied")
 
-    def arrivals():
-        deadline = rt.clock.now + duration
-        index = 0
-        while rt.clock.now < deadline:
-            yield Sleep(rng.expovariate(rate))
-            session, agent = rt.login_sessions[
-                index % len(rt.login_sessions)
-            ]
-            rt.scheduler.spawn(login_once(session, agent),
-                               name=f"login-storm-{index}")
-            index += 1
-        rt.count("scenario.login_arrivals", index)
+    def arrival(index: int):
+        # The account's session and agent as of this arrival: a
+        # user_key_change may swap the agent mid-storm.
+        session, agent = rt.login_sessions[index % len(rt.login_sessions)]
+        return login_once(session, agent)
 
-    rt.scheduler.spawn(arrivals(), name="login-storm-arrivals")
+    def storm():
+        arrivals = yield from poisson_arrivals(
+            rt.scheduler, rng, rate, duration, arrival, "login-storm")
+        rt.count("scenario.login_arrivals", arrivals)
+
+    rt.scheduler.spawn(storm(), name="login-storm-arrivals")
     rt.count("scenario.login_storms")
 
 

@@ -134,7 +134,7 @@ class Task:
 
     __slots__ = ("name", "daemon", "gen", "finished", "failed", "result",
                  "exception", "waiting_on", "_running", "_queued",
-                 "_pending_resume")
+                 "_pending_resume", "__weakref__")
 
     def __init__(self, gen: Generator, name: str, daemon: bool) -> None:
         self.name = name
@@ -169,10 +169,13 @@ class Scheduler:
         self.rng = random.Random(seed)
         self.metrics = metrics if metrics is not None else NULL_REGISTRY
         self._ready: list[Task] = []
-        self.tasks: list[Task] = []
-        #: Unfinished non-daemon tasks.  :meth:`run` loops on this count
-        #: so a step costs the same whether 10 or 10,000 tasks exist.
-        self._live_count = 0
+        #: Unfinished non-daemon tasks in spawn order.  :meth:`run` loops
+        #: on its size, so a step costs the same whether 10 or 10,000
+        #: tasks exist; the scheduler keeps no finished task.
+        self._live: dict[Task, None] = {}
+        #: Non-daemon tasks that died with an exception, in death order:
+        #: what load drivers count as failed operations.
+        self.failed: list[Task] = []
         self.steps = 0
         #: The task currently being stepped, if any — how re-entrant
         #: (legacy sync) code can tell it is running inside a task.
@@ -194,9 +197,8 @@ class Scheduler:
               daemon: bool = False) -> Task:
         """Register a generator as a runnable task."""
         task = Task(gen, name, daemon)
-        self.tasks.append(task)
         if not daemon:
-            self._live_count += 1
+            self._live[task] = None
         self._m_spawned.inc()
         self._enqueue(task)
         return task
@@ -242,6 +244,8 @@ class Scheduler:
             task.failed = True
             task.exception = exc
             self._m_failed.inc()
+            if not task.daemon:
+                self.failed.append(task)
             return
         finally:
             task._running = False
@@ -251,7 +255,7 @@ class Scheduler:
     def _finish(self, task: Task) -> None:
         task.finished = True
         if not task.daemon:
-            self._live_count -= 1
+            del self._live[task]
 
     def _park(self, task: Task, waited: Any) -> None:
         if isinstance(waited, Future):
@@ -293,14 +297,9 @@ class Scheduler:
 
     # -- run loops --------------------------------------------------------
 
-    def _live(self) -> list[Task]:
-        """Every unfinished non-daemon task: a full scan, kept off the
-        run loop (only stall reports and :meth:`run`'s return use it)."""
-        return [t for t in self.tasks if not t.finished and not t.daemon]
-
     def _describe_blocked(self, limit: int = 8) -> str:
         """Render who is stuck on what, for stall/drain messages."""
-        blocked = [t for t in self._live()
+        blocked = [t for t in self._live
                    if not t._queued and not t._running]
         if self.current is not None:
             blocked.insert(0, self.current)
@@ -376,12 +375,12 @@ class Scheduler:
         Returns the list of *blocked* non-daemon tasks (empty on a clean
         run): tasks still waiting on futures that can no longer resolve.
         """
-        while self._live_count:
+        while self._live:
             try:
                 self.pump_once()
             except SchedulerStalled:
                 break
-        return self._live() if self._live_count else []
+        return list(self._live)
 
     def drain(self) -> None:
         """Assert a clean shutdown: no blocked or unfinished tasks."""

@@ -1,37 +1,40 @@
-"""The scheduler's run loop counts live tasks instead of scanning for them.
+"""The scheduler tracks live tasks only, and keeps no finished one.
 
-These tests count work, never time: how often the full task list is
-walked, and whether the live-task count agrees with a full scan at every
-point where tasks start, finish, fail or nest.
+These tests count work and references, never time: how many steps a
+run takes, which tasks it reports blocked or failed, and whether a
+finished task is still reachable from the scheduler afterwards.
 """
+
+import gc
+import weakref
 
 from repro.sim.clock import Clock
 from repro.sim.sched import Future, Scheduler, Sleep
 
 
-class CountingList(list):
-    """A task list that counts full iterations over itself."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.walks = 0
-
-    def __iter__(self):
-        self.walks += 1
-        return super().__iter__()
-
-
 def make() -> Scheduler:
-    sched = Scheduler(Clock(), seed=0)
-    sched.tasks = CountingList()
-    return sched
+    return Scheduler(Clock(), seed=0)
 
 
-def assert_count_matches(sched: Scheduler) -> None:
-    assert sched._live_count == len(sched._live())
+def test_finished_tasks_are_not_kept():
+    sched = make()
+
+    def short(rounds):
+        for _ in range(rounds):
+            yield Sleep(0.001)
+
+    refs = [weakref.ref(sched.spawn(short(index % 3), name=f"short-{index}"))
+            for index in range(2_000)]
+    assert len(sched._live) == 2_000
+    assert sched.run() == []
+    # 2,000 first steps plus 0 + 1 + 2 sleeps per group of three.
+    assert sched.steps == 2_000 + sum(index % 3 for index in range(2_000))
+    assert not sched._live and sched.failed == []
+    gc.collect()
+    assert all(ref() is None for ref in refs)
 
 
-def test_run_never_walks_the_task_list_with_10k_idle_daemons():
+def test_run_steps_the_same_with_10k_idle_daemons():
     sched = make()
     never = Future("never")
 
@@ -47,13 +50,14 @@ def test_run_never_walks_the_task_list_with_10k_idle_daemons():
 
     for index in range(4):
         sched.spawn(worker(50), name=f"worker-{index}")
+    # Daemons never count as live, so only the four workers do.
+    assert len(sched._live) == 4
     assert sched.run() == []
-    # 10,004 first steps plus 200 sleeps: all without one task-list walk.
+    # 10,004 first steps plus 200 sleeps.
     assert sched.steps == 10_204
-    assert sched.tasks.walks == 0
 
 
-def test_stalled_run_walks_only_to_report_the_blocked():
+def test_stalled_run_reports_blocked_tasks_in_spawn_order():
     sched = make()
     never = Future("never")
 
@@ -64,11 +68,11 @@ def test_stalled_run_walks_only_to_report_the_blocked():
         for _ in range(100):
             yield Sleep(0.01)
 
-    hung = sched.spawn(stuck(), name="stuck")
+    first = sched.spawn(stuck(), name="stuck-a")
     sched.spawn(worker(), name="worker")
-    assert sched.run() == [hung]
-    # One walk describes the stall, one builds the returned list.
-    assert sched.tasks.walks == 2
+    second = sched.spawn(stuck(), name="stuck-b")
+    assert sched.run() == [first, second]
+    assert "stuck-a(future:never)" in sched._describe_blocked()
 
 
 def test_live_count_through_daemons_failures_and_mid_step_spawns():
@@ -80,8 +84,7 @@ def test_live_count_through_daemons_failures_and_mid_step_spawns():
 
     def parent():
         sched.spawn(child(), name="child")
-        assert_count_matches(sched)
-        seen.append(sched._live_count)
+        seen.append(len(sched._live))
         yield Sleep(0.05)
 
     def fails():
@@ -98,15 +101,16 @@ def test_live_count_through_daemons_failures_and_mid_step_spawns():
     sched.spawn(parent(), name="parent")
     sched.spawn(fails(), name="fails")
     sched.spawn(bad_yield(), name="bad-yield")
-    sched.spawn(daemon_fails(), name="daemon", daemon=True)
-    assert sched._live_count == 3
-    assert_count_matches(sched)
+    daemon = sched.spawn(daemon_fails(), name="daemon", daemon=True)
+    assert len(sched._live) == 3
     assert sched.run() == []
-    assert len(seen) == 1
-    assert sched._live_count == 0
-    assert_count_matches(sched)
-    failed = sorted(t.name for t in sched.tasks if t.failed)
-    assert failed == ["bad-yield", "daemon", "fails"]
+    # parent, fails and bad-yield were live when the child spawned.
+    assert seen == [4]
+    assert not sched._live
+    # Death order, daemons excluded (a daemon's death is only counted).
+    assert [t.name for t in sched.failed] == ["bad-yield", "fails"]
+    assert daemon.failed
+    assert isinstance(sched.failed[0].exception, TypeError)
 
 
 def test_live_count_through_nested_pump_once():
@@ -119,17 +123,16 @@ def test_live_count_through_nested_pump_once():
         yield  # pragma: no cover - makes this a generator
 
     def pumper():
-        sched.spawn(quick("inner"), name="inner")
+        inner = sched.spawn(quick("inner"), name="inner")
         # Re-entrant progress, as legacy synchronous code makes it: the
         # nested step finishes another task while this one is mid-step.
         while "inner" not in order:
             sched.pump_once()
-            assert_count_matches(sched)
+        assert inner not in sched._live
         order.append("pumper")
         yield Sleep(0.0)
 
     sched.spawn(pumper(), name="pumper")
     assert sched.run() == []
     assert order == ["inner", "pumper"]
-    assert sched._live_count == 0
-    assert_count_matches(sched)
+    assert not sched._live
