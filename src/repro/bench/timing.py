@@ -14,9 +14,9 @@ overhead by genuine CPU time.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 
-from ..obs.trace import Tracer
 from ..sim.clock import Clock
 
 
@@ -38,20 +38,20 @@ class Measurement:
 
 
 class Timer:
-    """Measures named spans against a wall timer and a virtual clock.
-
-    A thin facade over :class:`repro.obs.trace.Tracer` that keeps the
-    flat :class:`Measurement` records benchmarks report on.
-    """
+    """Measures named spans against a wall timer and a virtual clock,
+    keeping the flat :class:`Measurement` records benchmarks report on."""
 
     def __init__(self, clock: Clock) -> None:
-        self._tracer = Tracer(clock)
+        self._clock = clock
         self.measurements: list[Measurement] = []
 
     def measure(self, name: str, fn) -> Measurement:
         """Run *fn* and record its cpu + simulated time."""
-        span = self._tracer.measure(name, fn)
-        measurement = Measurement(name, span.cpu_seconds, span.sim_seconds)
+        sim0 = self._clock.now
+        cpu0 = time.perf_counter()
+        fn()
+        cpu = time.perf_counter() - cpu0
+        measurement = Measurement(name, cpu, self._clock.now - sim0)
         self.measurements.append(measurement)
         return measurement
 

@@ -103,19 +103,11 @@ class SecureChannel:
         #: threshold (and again after each successful rekey, should the
         #: new streams desynchronize too).
         self.on_desync: Callable[[], None] | None = None
-        self.suggested_reply_waiter = getattr(
-            pipe, "suggested_reply_waiter", None
-        )
-        self.suggested_clock = getattr(pipe, "suggested_clock", None)
-        self.suggested_metrics = getattr(pipe, "suggested_metrics", None)
-        self.suggested_window_depth = getattr(
-            pipe, "suggested_window_depth", None
-        )
-        self.suggested_rtt = getattr(pipe, "suggested_rtt", 0.0)
-        self.synchronous_delivery = getattr(
-            pipe, "synchronous_delivery", False
-        )
-        self.metrics = self.suggested_metrics or NULL_REGISTRY
+        #: The link underneath every wrapper; RpcPeer reads its
+        #: ``suggested_*`` hints from here.
+        self.transport = getattr(pipe, "transport", pipe)
+        self.metrics = (getattr(self.transport, "suggested_metrics", None)
+                        or NULL_REGISTRY)
         self._m_sent = self.metrics.counter("channel.records_sent")
         self._m_received = self.metrics.counter("channel.records_received")
         self._m_rejects = self.metrics.counter("channel.mac_reject")

@@ -50,7 +50,7 @@ from ..rpc.peer import (
     RpcTimeout,
     RpcTransportDown,
 )
-from ..rpc.rpcmsg import AUTH_SYS, AuthSys, OpaqueAuth, RpcMsgError
+from ..rpc.rpcmsg import AUTH_SYS, AuthSys, NULL_AUTH, OpaqueAuth, RpcMsgError
 from ..rpc.xdr import Record, VOID
 from ..sim.clock import Clock
 from ..sim.network import LinkSide
@@ -586,6 +586,18 @@ class ServerSession:
               max_rounds: int = 8) -> int:
         """Authenticate *agent*'s user; returns an authno (0 = anonymous).
 
+        The blocking form of :meth:`login_task`, run by the peer's
+        :meth:`~repro.rpc.peer.RpcPeer.drive`: SERVER_BUSY replies are
+        retried with the same backoff, spent on the virtual clock.
+        """
+        return self.peer.drive(self.login_task(agent, max_attempts,
+                                               max_rounds))
+
+    def login_task(self, agent: Agent, max_attempts: int = 3,
+                   max_rounds: int = 8):
+        """Authenticate *agent*'s user (``yield from`` it); returns an
+        authno (0 = anonymous).
+
         The agent may hold several keys; the client retries with each
         ("a single agent can support several protocols by simply trying
         them each in succession") and falls back to anonymous access
@@ -593,37 +605,6 @@ class ServerSession:
         protocols expose ``continue_auth``; LOGIN_MORE replies loop back
         through it with fresh sequence numbers — the content stays
         opaque to this client code.
-        """
-        info = self.authinfo_bytes()
-        for key_index in range(min(max_attempts, max(1, agent.key_count))):
-            self.auth_seqno += 1
-            seqno = self.auth_seqno
-            try:
-                authmsg = agent.sign_request(info, seqno, key_index)
-            except AgentRefused:
-                break
-            for _round in range(max_rounds):
-                disc, body = self.peer.call(
-                    proto.SFS_RW_PROGRAM, proto.SFS_VERSION, proto.PROC_LOGIN,
-                    proto.LoginArgs,
-                    proto.LoginArgs.make(seqno=seqno, authmsg=authmsg),
-                    proto.LoginRes,
-                )
-                if disc == proto.LOGIN_OK:
-                    return body.authno
-                if disc != proto.LOGIN_MORE:
-                    break
-                continue_auth = getattr(agent, "continue_auth", None)
-                if continue_auth is None:
-                    break
-                self.auth_seqno += 1
-                seqno = self.auth_seqno
-                authmsg = continue_auth(body, info, seqno)
-        return 0
-
-    def login_task(self, agent: Agent, max_attempts: int = 3,
-                   max_rounds: int = 8):
-        """Task variant of :meth:`login` (``yield from`` it).
 
         Login storms run thousands of these concurrently; each suspends
         while its reply is in flight, and SERVER_BUSY replies from the
@@ -638,13 +619,14 @@ class ServerSession:
         info = self.authinfo_bytes()
         for key_index in range(min(max_attempts, max(1, agent.key_count))):
             try:
-                seqno, authmsg = self._sign_login(agent, info, key_index)
+                args = self._sign_login(agent, info, key_index)
             except AgentRefused:
                 break
             resign = lambda: self._sign_login(agent, info, key_index)  # noqa: E731
             for _round in range(max_rounds):
-                disc, body = yield from self._login_call_task(
-                    seqno, authmsg, resign
+                disc, body = yield from self._call_task(
+                    proto.PROC_LOGIN, proto.LoginArgs, args, proto.LoginRes,
+                    remake=resign,
                 )
                 if disc == proto.LOGIN_OK:
                     return body.authno
@@ -655,55 +637,39 @@ class ServerSession:
                     break
                 self.auth_seqno += 1
                 seqno = self.auth_seqno
-                authmsg = continue_auth(body, info, seqno)
+                args = proto.LoginArgs.make(
+                    seqno=seqno, authmsg=continue_auth(body, info, seqno)
+                )
                 # Multi-round protocol messages are not re-signable from
                 # here; a busy retry resends the round verbatim.
                 resign = None
         return 0
 
     def _sign_login(self, agent: Agent, info: bytes,
-                    key_index: int) -> tuple[int, bytes]:
+                    key_index: int) -> Record:
         self.auth_seqno += 1
-        return self.auth_seqno, agent.sign_request(
-            info, self.auth_seqno, key_index
+        return proto.LoginArgs.make(
+            seqno=self.auth_seqno,
+            authmsg=agent.sign_request(info, self.auth_seqno, key_index),
         )
 
-    def _login_call_task(self, seqno: int, authmsg: bytes, resign=None):
+    def _call_task(self, proc: int, arg_codec, args, res_codec,
+                   cred: OpaqueAuth = NULL_AUTH, remake=None):
+        """One call on the SFS read-write program (``yield from`` it).
+
+        SERVER_BUSY replies are retried through :attr:`busy_policy`,
+        the wait spent as a :class:`~repro.sim.sched.Sleep`; *remake*,
+        when given, rebuilds the arguments for each resend.  A backoff
+        that exhausts re-raises :class:`RpcBusy`.
+        """
         delays = None
         while True:
             try:
                 result = yield from self.peer.call_task(
-                    proto.SFS_RW_PROGRAM, proto.SFS_VERSION, proto.PROC_LOGIN,
-                    proto.LoginArgs,
-                    proto.LoginArgs.make(seqno=seqno, authmsg=authmsg),
-                    proto.LoginRes,
+                    proto.SFS_RW_PROGRAM, proto.SFS_VERSION, proc,
+                    arg_codec, args, res_codec, cred,
                 )
                 return result
-            except RpcBusy:
-                if delays is None:
-                    delays = self.busy_policy.delays(self.rng)
-                    next(delays)  # discard the "first attempt" zero
-                delay = next(delays, None)
-                if delay is None:
-                    raise
-                self.busy_retries += 1
-                self._m_busy_retries.inc()
-                if delay:
-                    yield Sleep(delay)
-                if resign is not None:
-                    seqno, authmsg = resign()
-
-    # -- relaying --
-
-    def call_nfs(self, proc: int, args: Record, authno: int):
-        arg_codec, res_codec = proto.NFS_PROC_CODECS[proc]
-        delays = None
-        while True:
-            try:
-                return self.peer.call(
-                    proto.SFS_RW_PROGRAM, proto.SFS_VERSION, proc,
-                    arg_codec, args, res_codec, cred=make_sfs_cred(authno),
-                )
             except RpcBusy:
                 if delays is None:
                     delays = self.busy_policy.delays(self.rng)
@@ -713,40 +679,33 @@ class ServerSession:
                     raise  # backoff exhausted; the server stayed full
                 self.busy_retries += 1
                 self._m_busy_retries.inc()
-                clock = self.peer.backoff_clock
-                if clock is not None and delay:
-                    clock.advance(delay)
+                if delay:
+                    yield Sleep(delay)
+                if remake is not None:
+                    args = remake()
+
+    # -- relaying --
+
+    def call_nfs(self, proc: int, args: Record, authno: int):
+        """Relay one NFS call, blocking: :meth:`call_nfs_task` run by
+        the peer's :meth:`~repro.rpc.peer.RpcPeer.drive`, so a busy
+        backoff is charged to the virtual clock."""
+        return self.peer.drive(self.call_nfs_task(proc, args, authno))
 
     def call_nfs_task(self, proc: int, args: Record, authno: int):
-        """Task variant of :meth:`call_nfs` (``yield from`` it).
+        """Relay one NFS call (``yield from`` it).
 
         Suspends instead of pumping while the reply is in flight, so
         many client tasks share the simulation; SERVER_BUSY replies are
-        retried through the same backoff policy, with the wait spent as
-        a cooperative :class:`~repro.sim.sched.Sleep` rather than a
-        clock charge — other clients run during it, which is exactly
-        the contention being simulated.
+        retried through the session's backoff policy, with the wait
+        spent as a cooperative :class:`~repro.sim.sched.Sleep` — other
+        clients run during it, which is exactly the contention being
+        simulated.
         """
         arg_codec, res_codec = proto.NFS_PROC_CODECS[proc]
-        delays = None
-        while True:
-            try:
-                result = yield from self.peer.call_task(
-                    proto.SFS_RW_PROGRAM, proto.SFS_VERSION, proc,
-                    arg_codec, args, res_codec, cred=make_sfs_cred(authno),
-                )
-                return result
-            except RpcBusy:
-                if delays is None:
-                    delays = self.busy_policy.delays(self.rng)
-                    next(delays)  # discard the "first attempt" zero
-                delay = next(delays, None)
-                if delay is None:
-                    raise
-                self.busy_retries += 1
-                self._m_busy_retries.inc()
-                if delay:
-                    yield Sleep(delay)
+        return (yield from self._call_task(
+            proc, arg_codec, args, res_codec, make_sfs_cred(authno),
+        ))
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ credentials", paper section 3).
 
 from __future__ import annotations
 
-import time
 from typing import Callable
 
 from ..fs.memfs import ANONYMOUS, Cred, FsError, Inode, MemFs
@@ -219,16 +218,10 @@ class Nfs3Server:
         err_counter = self.metrics.counter(f"nfs3.errors.{name.lower()}")
 
         def dispatch(args, ctx: CallContext):
-            if not self.metrics.enabled:
-                cred = self._cred_mapper(ctx)
-                try:
-                    return handler(args, cred)
-                except FsError as exc:
-                    return exc.code, self._failure_body(args, handler)
             op_counter.inc()
+            clock = self._clock
+            sim0 = clock.now if clock is not None else 0.0
             layers = self.metrics.layers
-            sim0 = self._clock.now if self._clock is not None else 0.0
-            cpu0 = time.perf_counter()
             layers.push("nfs3")
             try:
                 cred = self._cred_mapper(ctx)
@@ -239,9 +232,9 @@ class Nfs3Server:
                     return exc.code, self._failure_body(args, handler)
             finally:
                 layers.pop()
-                sim = ((self._clock.now - sim0)
-                       if self._clock is not None else 0.0)
-                self._op_seconds.observe(time.perf_counter() - cpu0 + sim)
+                self._op_seconds.observe(
+                    clock.now - sim0 if clock is not None else 0.0
+                )
         return dispatch
 
     def _failure_body(self, args, handler):

@@ -11,10 +11,10 @@ decomposition possible in the reproduction:
   instance-scoped: each :class:`repro.kernel.world.World` owns one, so
   parallel tests never share state.  :data:`NULL_REGISTRY` disables
   everything at near-zero cost.
-* :mod:`repro.obs.trace` — nested spans recording both CPU time
-  (``time.perf_counter``) and simulated time (:mod:`repro.sim.clock`),
-  plus the :class:`LayerTracker` stack profiler behind the per-layer
-  latency-attribution tables.
+* :mod:`repro.obs.trace` — the :class:`LayerTracker` stack profiler
+  behind the per-layer latency-attribution tables, charging both CPU
+  time (``time.perf_counter``) and simulated time
+  (:mod:`repro.sim.clock`) to the innermost layer.
 * :mod:`repro.obs.export` — JSON snapshots and paper-style text tables
   (imported on demand; ``python -m repro.obs snapshot.json`` pretty-
   prints a file).
@@ -37,7 +37,7 @@ from .registry import (
     ScopedRegistry,
     nearest_rank,
 )
-from .trace import LayerTracker, NullLayerTracker, Span, Tracer
+from .trace import LayerTracker, NullLayerTracker
 
 __all__ = [
     "Counter",
@@ -51,7 +51,5 @@ __all__ = [
     "NullLayerTracker",
     "NullRegistry",
     "ScopedRegistry",
-    "Span",
-    "Tracer",
     "nearest_rank",
 ]

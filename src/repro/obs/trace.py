@@ -1,113 +1,21 @@
-"""Structured tracing: nested spans and per-layer time attribution.
+"""Per-layer time attribution.
 
-Two instruments share the hybrid time model of :mod:`repro.bench.timing`
-(real CPU seconds from ``time.perf_counter`` plus simulated device
-seconds from the virtual clock):
-
-* :class:`Tracer` records *inclusive* spans that nest — the
-  generalization of the bench Timer, with per-span tags and children.
-* :class:`LayerTracker` is a stack profiler charging *exclusive* time to
-  the innermost active layer.  Because virtual-network delivery is
-  synchronous — a reply arrives via nested handler invocation before
-  ``call`` returns, all on one Python stack — exactly one layer (or the
-  root ``"other"`` bucket) is active at every instant, so the per-layer
-  totals sum to the tracked wall total by construction.  This is what
-  lets a Fig. 5 run split its headline number into crypto / RPC / NFS
-  server / network / disk components that actually add up.
+:class:`LayerTracker` is a stack profiler charging *exclusive* time to
+the innermost active layer, in the hybrid time model of
+:mod:`repro.bench.timing` (real CPU seconds from ``time.perf_counter``
+plus simulated device seconds from the virtual clock).  Because
+virtual-network delivery is synchronous — a reply arrives via nested
+handler invocation before ``call`` returns, all on one Python stack —
+exactly one layer (or the root ``"other"`` bucket) is active at every
+instant, so the per-layer totals sum to the tracked wall total by
+construction.  This is what lets a Fig. 5 run split its headline number
+into crypto / RPC / NFS server / network / disk components that
+actually add up.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Any
-
-
-@dataclass
-class Span:
-    """One traced section: inclusive cpu + simulated time, tags, children."""
-
-    name: str
-    tags: dict[str, Any] = field(default_factory=dict)
-    cpu_seconds: float = 0.0
-    sim_seconds: float = 0.0
-    children: list["Span"] = field(default_factory=list)
-
-    @property
-    def total(self) -> float:
-        return self.cpu_seconds + self.sim_seconds
-
-    def to_dict(self) -> dict:
-        out: dict[str, Any] = {
-            "name": self.name,
-            "cpu_seconds": self.cpu_seconds,
-            "sim_seconds": self.sim_seconds,
-        }
-        if self.tags:
-            out["tags"] = dict(self.tags)
-        if self.children:
-            out["children"] = [child.to_dict() for child in self.children]
-        return out
-
-
-class _SpanHandle:
-    """Context manager driving one span's lifetime."""
-
-    __slots__ = ("_tracer", "_span", "_cpu0", "_sim0")
-
-    def __init__(self, tracer: "Tracer", span: Span) -> None:
-        self._tracer = tracer
-        self._span = span
-        self._cpu0 = 0.0
-        self._sim0 = 0.0
-
-    def __enter__(self) -> Span:
-        tracer = self._tracer
-        if tracer._stack:
-            tracer._stack[-1].children.append(self._span)
-        else:
-            tracer.roots.append(self._span)
-        tracer._stack.append(self._span)
-        self._sim0 = tracer._now_sim()
-        self._cpu0 = time.perf_counter()
-        return self._span
-
-    def __exit__(self, *exc) -> bool:
-        tracer = self._tracer
-        self._span.cpu_seconds += time.perf_counter() - self._cpu0
-        self._span.sim_seconds += tracer._now_sim() - self._sim0
-        tracer._stack.pop()
-        return False
-
-
-class Tracer:
-    """Records a forest of nested spans against cpu + simulated time.
-
-    Span times are *inclusive* (a parent's time covers its children);
-    use :class:`LayerTracker` for exclusive attribution.
-    """
-
-    def __init__(self, clock=None) -> None:
-        self._clock = clock
-        self.roots: list[Span] = []
-        self._stack: list[Span] = []
-
-    def _now_sim(self) -> float:
-        return self._clock.now if self._clock is not None else 0.0
-
-    def span(self, name: str, **tags: Any) -> _SpanHandle:
-        """``with tracer.span("negotiate", rounds=3) as s: ...``"""
-        return _SpanHandle(self, Span(name, tags))
-
-    def measure(self, name: str, fn, **tags: Any) -> Span:
-        """Run *fn* inside a span and return the finished span."""
-        handle = self.span(name, **tags)
-        with handle as span:
-            fn()
-        return span
-
-    def to_dicts(self) -> list[dict]:
-        return [span.to_dict() for span in self.roots]
 
 
 class _LayerContext:

@@ -8,10 +8,22 @@ the codecs in :mod:`repro.rpc.xdr`.
 
 The underlying "pipe" is anything with ``send(bytes)`` and
 ``on_receive(handler)`` — a :class:`repro.sim.network.LinkSide`, a secure
-channel wrapper, or a real TCP transport.  Delivery on the virtual
-network is synchronous, so a reply to an outbound call arrives (via
-nested handler invocation) before ``call`` returns; the TCP transport
-pumps a reader loop to get the same effect.
+channel wrapper, or a real TCP transport.  Wrapper pipes expose the link
+underneath as ``transport``; the peer reads its transport hints
+(``suggested_*``, ``synchronous_delivery``) from it once, at
+construction.  There are two delivery modes:
+
+* **synchronous** — the classic virtual network delivers inside
+  ``send``, so a reply arrives by nested handler invocation before
+  ``send`` returns;
+* **asynchronous** — a pipelined link delivers when the clock crosses a
+  record's arrival timer, and a TCP socket when its reader is pumped.
+
+:meth:`RpcPeer.call_task` is the one code path that sends, awaits,
+retries and times a call, in both modes.  Blocking entry points
+(:meth:`RpcPeer.call`, the session's NFS relay and login) run a task
+generator through :meth:`RpcPeer.drive`, which waits out each yielded
+future by pumping the transport or advancing the virtual clock.
 
 Set ``trace`` to a callable to pretty-print RPC traffic, mirroring the
 debugging aid the paper credits for SFS's reliability ("Our RPC library
@@ -196,27 +208,30 @@ class RpcPeer:
         self._pipe = pipe
         self.name = name
         self.trace = trace
+        # Wrapper pipes (secure channel, switchable pipe) expose the
+        # link underneath as ``transport``; its hints are read once, here.
+        transport = getattr(pipe, "transport", pipe)
         #: Optional hook for transports without synchronous delivery
         #: (real TCP): called repeatedly until the awaited reply lands.
-        #: Must deliver at least one inbound record or raise.  Pipes can
-        #: volunteer one via a `suggested_reply_waiter` attribute, which
-        #: wrapper pipes (secure channel, switchable pipe) pass through.
+        #: Must deliver at least one inbound record or raise.  Transports
+        #: volunteer one via a `suggested_reply_waiter` attribute.
         self.reply_waiter: Callable[[], None] | None = getattr(
-            pipe, "suggested_reply_waiter", None
+            transport, "suggested_reply_waiter", None
         )
         #: True when the transport delivers inside ``send`` (the virtual
         #: network); lets `call` tell a dropped record from a transport
         #: that has no way to wait for one.
         self.synchronous_delivery: bool = getattr(
-            pipe, "synchronous_delivery", False
+            transport, "synchronous_delivery", False
         )
         #: Virtual clock to charge retry backoff to; None = wall clock.
-        self.backoff_clock = getattr(pipe, "suggested_clock", None)
-        #: Metrics registry volunteered by the pipe (see :mod:`repro.obs`);
-        #: wrapper pipes pass it through like `suggested_clock`.  The
-        #: shared ``rpc.*`` counters aggregate across peers; the scoped
-        #: call family backs :attr:`proc_counts` per peer.
-        self.metrics = getattr(pipe, "suggested_metrics", None) or NULL_REGISTRY
+        self.backoff_clock = getattr(transport, "suggested_clock", None)
+        #: Metrics registry volunteered by the transport (see
+        #: :mod:`repro.obs`).  The shared ``rpc.*`` counters aggregate
+        #: across peers; the scoped call family backs
+        #: :attr:`proc_counts` per peer.
+        self.metrics = (getattr(transport, "suggested_metrics", None)
+                        or NULL_REGISTRY)
         if self.metrics.enabled:
             self._calls_by_proc = self.metrics.scope(
                 f"rpc.peer.{name}"
@@ -246,7 +261,7 @@ class RpcPeer:
         #: to the oldest waiter FIFO, so out-of-order replies still
         #: admit senders in arrival order.
         self.window_depth: int | None = getattr(
-            pipe, "suggested_window_depth", None
+            transport, "suggested_window_depth", None
         )
         #: Round-trip estimate volunteered by the transport (pipelined
         #: links surface their propagation delay).  Floors the first
@@ -256,7 +271,8 @@ class RpcPeer:
         #: time a 2ms base delay would expire long before any reply
         #: could arrive and every call would retransmit itself into a
         #: channel rekey storm.
-        self.rtt_estimate: float = getattr(pipe, "suggested_rtt", 0.0) or 0.0
+        self.rtt_estimate: float = (getattr(transport, "suggested_rtt", 0.0)
+                                    or 0.0)
         self._window_in_flight = 0
         self._window_waiters: deque[Future] = deque()
         self.window_waits = 0
@@ -370,9 +386,6 @@ class RpcPeer:
         # The "rpc" layer claims dispatch, unmarshaling, and handler
         # glue; instrumented work the handler triggers (nfs3 dispatch,
         # crypto, network) is charged to its own layer by nesting.
-        if not self.metrics.enabled:
-            self._serve_inner(header, body, request)
-            return
         layers = self.metrics.layers
         layers.push("rpc")
         try:
@@ -466,6 +479,32 @@ class RpcPeer:
 
     # --- calling ----------------------------------------------------------
 
+    def _start_call(self, prog: int, vers: int, proc: int,
+                    arg_codec: Codec, args: Any, cred: OpaqueAuth,
+                    kind: str) -> tuple[int, bytes]:
+        """Allocate an xid, marshal the call record, count and trace it."""
+        self._xid += 1
+        xid = self._xid
+        header = CallHeader(xid, prog, vers, proc, cred=cred)
+        record = rpcmsg.pack_call(header, arg_codec.pack(args))
+        self.calls_sent += 1
+        self._m_calls.inc()
+        self._calls_by_proc.labels((prog, proc)).inc()
+        if self.trace:
+            self.trace(f"{self.name}: {kind} prog={prog} proc={proc} "
+                       f"args={args!r}")
+        return xid, record
+
+    def _send_call(self, xid: int, record: bytes, prog: int,
+                   proc: int) -> None:
+        try:
+            self._pipe.send(record)
+        except ConnectionError as exc:
+            raise RpcTransportDown(
+                f"transport down for xid {xid} "
+                f"(prog={prog} proc={proc}): {exc}"
+            ) from exc
+
     def call_oneway(
         self,
         prog: int,
@@ -484,24 +523,9 @@ class RpcPeer:
         costs the caller nothing but the send.  Raises
         :class:`RpcTransportDown` if the link is already closed.
         """
-        self._xid += 1
-        xid = self._xid
-        header = CallHeader(xid, prog, vers, proc, cred=cred)
-        record = rpcmsg.pack_call(header, arg_codec.pack(args))
-        self.calls_sent += 1
-        self._m_calls.inc()
-        self._calls_by_proc.labels((prog, proc)).inc()
-        if self.trace:
-            self.trace(
-                f"{self.name}: oneway prog={prog} proc={proc} args={args!r}"
-            )
-        try:
-            self._pipe.send(record)
-        except ConnectionError as exc:
-            raise RpcTransportDown(
-                f"transport down for xid {xid} "
-                f"(prog={prog} proc={proc}): {exc}"
-            ) from exc
+        xid, record = self._start_call(prog, vers, proc, arg_codec, args,
+                                       cred, "oneway")
+        self._send_call(xid, record, prog, proc)
 
     def call(
         self,
@@ -513,7 +537,8 @@ class RpcPeer:
         res_codec: Codec,
         cred: OpaqueAuth = NULL_AUTH,
     ) -> Any:
-        """Issue a call and return the decoded result.
+        """Issue a call and return the decoded result: :meth:`call_task`,
+        run to completion by :meth:`drive`.
 
         Raises :class:`RpcTimeout` if no reply arrives (dropped record),
         :class:`RpcNoWaiter` if none could have (asynchronous transport
@@ -527,41 +552,25 @@ class RpcPeer:
         From the second retry on, :attr:`recovery_hook` runs first so a
         desynchronized secure channel can be re-keyed before the record
         goes out again.
-
-        This is now a thin synchronous shim over :meth:`call_task` —
-        the one task-native call path — kept for tests and true sync
-        entry points: it drives the generator in place, waiting out
-        each yielded future by pumping the transport's
-        :attr:`reply_waiter` (or advancing the backoff clock to the
-        attempt's retransmission timer).
         """
-        if not self.metrics.enabled:
-            return self._drive(self.call_task(
-                prog, vers, proc, arg_codec, args, res_codec, cred,
-                _observe=False,
-            ))
+        return self.drive(self.call_task(
+            prog, vers, proc, arg_codec, args, res_codec, cred,
+        ))
+
+    def drive(self, gen) -> Any:
+        """Run a task generator to completion, synchronously.
+
+        The blocking entry point for any generator built on
+        :meth:`call_task`.  Mirrors the scheduler's step protocol —
+        resolve/fail whatever the generator yields, send the outcome
+        back in — so the task path and the blocking path are one
+        implementation: a yielded future is waited out by
+        :meth:`_wait_sync`, a :class:`~repro.sim.sched.Sleep` (or a
+        bare delay) is spent on the backoff clock.  The ``"rpc"`` layer
+        is charged for the whole drive.
+        """
         layers = self.metrics.layers
-        clock = self.backoff_clock
-        sim0 = clock.now if clock is not None else 0.0
-        cpu0 = time.perf_counter()
         layers.push("rpc")
-        try:
-            return self._drive(self.call_task(
-                prog, vers, proc, arg_codec, args, res_codec, cred,
-                _observe=False,
-            ))
-        finally:
-            layers.pop()
-            sim = (clock.now - sim0) if clock is not None else 0.0
-            self._m_call_seconds.observe(time.perf_counter() - cpu0 + sim)
-
-    def _drive(self, gen) -> Any:
-        """Run a :meth:`call_task` generator to completion, synchronously.
-
-        Mirrors the scheduler's step protocol — resolve/fail whatever
-        the generator yields, send the outcome back in — so the task
-        path and the sync path are one implementation.
-        """
         try:
             waited = next(gen)
             while True:
@@ -585,6 +594,8 @@ class RpcPeer:
             # pending tables and window slot are reclaimed.
             gen.close()
             raise
+        finally:
+            layers.pop()
 
     def _wait_sync(self, future: Future) -> None:
         """Block (in simulation terms) until *future* completes.
@@ -684,10 +695,8 @@ class RpcPeer:
         args: Any,
         res_codec: Codec,
         cred: OpaqueAuth = NULL_AUTH,
-        *,
-        _observe: bool = True,
     ):
-        """The one task-native call path (``yield from`` it).
+        """The one call path (``yield from`` it, or :meth:`drive` it).
 
         Instead of pumping the transport until the reply lands, the
         generator yields a :class:`~repro.sim.sched.Future` per attempt
@@ -697,7 +706,8 @@ class RpcPeer:
         the task wakes, and the record is retransmitted (same xid, same
         bytes — at-most-once via the remote reply cache).  Raises the
         same exceptions as :meth:`call`, plus :class:`RpcBusy` when the
-        server's admission control rejects the call.
+        server's admission control rejects the call.  Its simulated
+        duration is observed into ``rpc.call_seconds``.
 
         With :attr:`window_depth` set, the call first acquires an
         in-flight slot (yielding on a slot future when the window is
@@ -709,13 +719,12 @@ class RpcPeer:
             try:
                 result = yield from self._call_task_inner(
                     prog, vers, proc, arg_codec, args, res_codec, cred,
-                    _observe,
                 )
             finally:
                 self._window_release()
             return result
         return (yield from self._call_task_inner(
-            prog, vers, proc, arg_codec, args, res_codec, cred, _observe,
+            prog, vers, proc, arg_codec, args, res_codec, cred,
         ))
 
     def _call_task_inner(
@@ -727,18 +736,10 @@ class RpcPeer:
         args: Any,
         res_codec: Codec,
         cred: OpaqueAuth,
-        observe: bool,
     ):
-        self._xid += 1
-        xid = self._xid
-        header = CallHeader(xid, prog, vers, proc, cred=cred)
-        record = rpcmsg.pack_call(header, arg_codec.pack(args))
+        xid, record = self._start_call(prog, vers, proc, arg_codec, args,
+                                       cred, "call")
         self._pending[xid] = None
-        self.calls_sent += 1
-        self._m_calls.inc()
-        self._calls_by_proc.labels((prog, proc)).inc()
-        if self.trace:
-            self.trace(f"{self.name}: call prog={prog} proc={proc} args={args!r}")
         clock = self.backoff_clock
         sim0 = clock.now if clock is not None else 0.0
         policy = self.retry_policy
@@ -782,13 +783,10 @@ class RpcPeer:
                 future = Future(name=f"{self.name}:xid{xid}")
                 self._call_futures[xid] = future
                 try:
-                    self._pipe.send(record)
-                except ConnectionError as exc:
+                    self._send_call(xid, record, prog, proc)
+                except RpcTransportDown:
                     self._m_timeouts.inc()
-                    raise RpcTransportDown(
-                        f"transport down for xid {xid} "
-                        f"(prog={prog} proc={proc}): {exc}"
-                    ) from exc
+                    raise
                 reply = self._pending.get(xid)
                 if reply is not None:
                     break  # nested synchronous delivery answered already
@@ -820,5 +818,5 @@ class RpcPeer:
             self._pending.pop(xid, None)
             self._results.pop(xid, None)
             self._call_futures.pop(xid, None)
-            if observe and self.metrics.enabled and clock is not None:
+            if clock is not None:
                 self._m_call_seconds.observe(clock.now - sim0)

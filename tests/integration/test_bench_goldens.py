@@ -10,8 +10,9 @@ seeds, or what a report counts shows up here as a mismatch.
 Two parts of the figure data are left out because they mix in host CPU
 time and so differ between two identical runs: the fast-lane ``perf``
 counters (added by ``run_figures``, not by the figure runner) and the
-control figure's ``artifact.collector`` (merged registry snapshots that
-carry ``rpc.call_seconds``, ``nfs3.op_seconds`` and layer CPU time).
+control figure's ``artifact.collector`` (merged registry snapshots whose
+``layers`` section carries per-layer host CPU seconds; their metrics
+sections are simulated-time only and equal run to run).
 """
 
 from __future__ import annotations

@@ -48,6 +48,31 @@ def test_login_maps_key_to_credentials(auth_world):
     assert connection._authnos[authno].uid == 1000
 
 
+
+def test_blocking_login_backs_off_while_the_server_is_busy(auth_world):
+    """A SERVER_BUSY reply to a blocking login is retried through the
+    session's backoff policy on the virtual clock, as a relayed NFS call
+    is, instead of failing the login."""
+    world, server, path, alice = auth_world
+    agent = Agent("alice", world.rng)
+    agent.add_key(alice.key)
+    queue = server.enable_queueing(max_depth=1, workers=1)
+    session = connect_session(world, path)
+    # Hold the only queue slot, so the first LOGIN is rejected, and let
+    # the admission bound widen 10 ms later, while the client backs off
+    # (its first busy delay is about 50 ms; a LAN round trip is far
+    # shorter than 10 ms).
+    queue.submit("filler", lambda: None)
+    widen_at = world.clock.now + 0.010
+    world.clock.call_at(widen_at, lambda: queue.set_max_depth(2))
+    authno = session.login(agent)
+    assert authno != 0
+    assert session.busy_retries == 1
+    assert session.metrics.counter("client.busy_retries").value == 1
+    assert world.clock.now > widen_at
+    connection = list(server.master.rw_export(path.hostid).connections)[-1]
+    assert connection._authnos[authno].uid == 1000
+
 def test_login_with_unknown_key_falls_back_anonymous(auth_world):
     world, _server, path, _alice = auth_world
     agent = Agent("stranger", world.rng)

@@ -11,7 +11,6 @@ from repro.obs import (
     NULL_REGISTRY,
     NullLayerTracker,
     NullRegistry,
-    Tracer,
 )
 from repro.obs.export import (
     SnapshotCollector,
@@ -205,36 +204,6 @@ def test_registry_snapshot_includes_layers():
     assert layers["disk"]["total"] == pytest.approx(
         layers["disk"]["cpu"] + layers["disk"]["sim"]
     )
-
-
-# --- tracer ------------------------------------------------------------------
-
-def test_tracer_nests_spans():
-    clock = Clock()
-    tracer = Tracer(clock)
-    with tracer.span("outer", kind="test"):
-        clock.advance(1.0)
-        with tracer.span("inner"):
-            clock.advance(2.0)
-    (outer,) = tracer.roots
-    assert outer.name == "outer"
-    assert outer.tags == {"kind": "test"}
-    (inner,) = outer.children
-    # Inclusive times: the parent covers the child.
-    assert outer.sim_seconds == pytest.approx(3.0)
-    assert inner.sim_seconds == pytest.approx(2.0)
-    dicts = tracer.to_dicts()
-    assert dicts[0]["name"] == "outer"
-    assert dicts[0]["children"][0]["name"] == "inner"
-    json.dumps(dicts)
-
-
-def test_tracer_measure_returns_finished_span():
-    tracer = Tracer()
-    span = tracer.measure("work", lambda: sum(range(1000)))
-    assert span.cpu_seconds >= 0
-    assert span.total == span.cpu_seconds + span.sim_seconds
-    assert tracer.roots == [span]
 
 
 # --- exporter ----------------------------------------------------------------

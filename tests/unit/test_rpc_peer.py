@@ -323,6 +323,28 @@ def test_no_waiter_distinguished_from_timeout():
     assert issubclass(RpcNoWaiter, RpcError)
 
 
+
+def test_blocking_call_observes_its_simulated_duration_once():
+    """A blocking call is a driven call_task: ``rpc.call_seconds`` gets
+    one observation, the simulated seconds the call took, with no host
+    CPU time mixed in."""
+    from repro.core import proto
+    from repro.kernel.world import World
+
+    world = World(seed=5)
+    world.add_server("sfs.example.com")
+    link = world.connector("sfs.example.com", proto.SERVICE_FILESERVER)
+    client = RpcPeer(link, "probe")
+    histogram = client.metrics.histogram("rpc.call_seconds")
+    assert histogram.count == 0
+    start = world.clock.now
+    client.call(proto.SFS_CONNECT_PROGRAM, proto.SFS_VERSION, 0,
+                VOID, None, VOID)
+    elapsed = world.clock.now - start
+    assert elapsed > 0
+    assert histogram.count == 1
+    assert histogram.sum == elapsed
+
 # -- one-way calls ----------------------------------------------------------
 
 
